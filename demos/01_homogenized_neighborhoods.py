@@ -14,7 +14,6 @@ from transgcn.encoder import Assumption
 from transgcn.transform import (
     estimate_from_incoming,
     estimate_from_outgoing,
-    rotation_phase_to_embedding,
 )
 
 rng = np.random.default_rng(0)
@@ -31,7 +30,7 @@ print()
 
 print("rotation: the conjugate rotation undoes the relation")
 theta = rng.uniform(0, 2 * np.pi, size=(1, 2))
-rel_rot = rotation_phase_to_embedding(ad.tensor(theta))
+rel_rot = ad.phase_embedding(ad.tensor(theta))
 head_c = rng.normal(size=(1, 4))  # [re | im] layout, 2 complex coordinates
 tail_c = estimate_from_incoming(ad.tensor(head_c), rel_rot, Assumption.ROTATION)
 back = estimate_from_outgoing(tail_c, rel_rot, Assumption.ROTATION)

@@ -185,14 +185,26 @@ def _split(t: Tensor, op: str) -> int:
     return t.cols // 2
 
 
+def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coordinate-wise complex product of split-half [re | im] arrays.
+
+    The halves are taken along the last axis; ``b`` may broadcast against
+    ``a`` (one relation row against a whole entity table).
+    """
+    k = a.shape[-1] // 2
+    ar, ai = a[..., :k], a[..., k:]
+    br, bi = b[..., :k], b[..., k:]
+    return np.concatenate([ar * br - ai * bi, ar * bi + ai * br], axis=-1)
+
+
 def complex_hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Coordinate-wise complex product in split-half layout [re | im]."""
+    """Tape-aware complex_product of two equal-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"complex_hadamard: shapes {a.shape} and {b.shape} differ")
     k = _split(a, "complex_hadamard")
     ar, ai = a.values[:, :k], a.values[:, k:]
     br, bi = b.values[:, :k], b.values[:, k:]
-    out = np.concatenate([ar * br - ai * bi, ar * bi + ai * br], axis=1)
+    out = complex_product(a.values, b.values)
 
     def backward_fn(g):
         gr, gi = g[:, :k], g[:, k:]
@@ -255,43 +267,21 @@ def relu(a: Tensor) -> Tensor:
     return _make_result(np.maximum(a.values, 0.0), (a,), "relu", backward_fn)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.values)
-
-    def backward_fn(g):
-        _accumulate(a, g * s * (1.0 - s))
-
-    return _make_result(s, (a,), "sigmoid", backward_fn)
-
-
 def log_sigmoid(a: Tensor) -> Tensor:
     """log(sigmoid(x)) without underflow for very negative x."""
     x = a.values
     out = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
     def backward_fn(g):
-        _accumulate(a, g * _sigmoid(-x))
+        # slope sigmoid(-x) = 1 / (1 + e^x), split by sign so exp never overflows
+        slope = np.empty_like(x)
+        neg = x <= 0
+        slope[neg] = 1.0 / (1.0 + np.exp(x[neg]))
+        ex = np.exp(-x[~neg])
+        slope[~neg] = ex / (1.0 + ex)
+        _accumulate(a, g * slope)
 
     return _make_result(out, (a,), "log_sigmoid", backward_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    if (a.values <= 0).any():
-        raise NumericError("log: domain requires strictly positive values")
-
-    def backward_fn(g):
-        _accumulate(a, g / a.values)
-
-    return _make_result(np.log(a.values), (a,), "log", backward_fn)
 
 
 def row_l1_norm(a: Tensor) -> Tensor:
@@ -312,19 +302,6 @@ def row_l2_norm(a: Tensor) -> Tensor:
         _accumulate(a, g * (a.values / safe))
 
     return _make_result(out, (a,), "row_l2_norm", backward_fn)
-
-
-def softmax_over_scores(a: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction."""
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        _accumulate(a, p * (g - dot))
-
-    return _make_result(p, (a,), "softmax_over_scores", backward_fn)
 
 
 def phase_embedding(theta: Tensor) -> Tensor:

@@ -14,61 +14,47 @@ Layout, all integers little-endian:
     adam step             u64
     adam moments          m then v per parameter, same order and encoding
 
-Floats are written with repr() in the config block, which round-trips
-exactly, so save -> load -> save reproduces identical bytes.
+Config values are written in their str() form (repr() for floats), which
+round-trips exactly, so save -> load -> save reproduces identical bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 
 import numpy as np
 
-from . import autodiff as ad
-from .encoder import LayerParams, ModelState
+from .encoder import ModelState
 from .errors import CheckpointError, ConfigError, ShapeError
-from .trainer import CHECKPOINT_VERSION, Checkpoint, TrainConfig
-from .transform import Assumption
+from .trainer import (
+    CHECKPOINT_VERSION,
+    CONFIG_FIELDS,
+    Checkpoint,
+    TrainConfig,
+    config_values,
+    parse_config_value,
+)
 
 MAGIC = b"TGCNCKPT"
 
-_INT_FIELDS = {"layers", "dim", "negatives", "epochs", "batch", "eval_every",
-               "seed", "pretrain_epochs"}
-_FLOAT_FIELDS = {"gamma", "alpha", "lr", "clip"}
-
 
 def _config_text(config: TrainConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, Assumption):
-            value = value.value
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={value}\n" for key, value in config_values(config).items())
 
 
 def _parse_config(text: str) -> TrainConfig:
-    names = {f.name for f in dataclasses.fields(TrainConfig)}
     kwargs = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, sep, value = line.partition("=")
-        if not sep or key not in names:
-            raise CheckpointError(f"unrecognized config line {line!r}")
-        if key in _INT_FIELDS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
-    missing = names - kwargs.keys()
-    if missing:
-        raise CheckpointError(f"config block missing fields: {sorted(missing)}")
     try:
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            key, sep, value = line.partition("=")
+            if not sep or key not in CONFIG_FIELDS:
+                raise CheckpointError(f"unrecognized config line {line!r}")
+            kwargs[key] = parse_config_value(key, value)
+        missing = CONFIG_FIELDS.keys() - kwargs.keys()
+        if missing:
+            raise CheckpointError(f"config block missing fields: {sorted(missing)}")
         return TrainConfig(**kwargs)
     except ConfigError as err:
         raise CheckpointError(f"stored config is invalid: {err}") from err
@@ -170,24 +156,9 @@ def from_bytes(data: bytes) -> Checkpoint:
     relation_names = [r.text() for _ in range(r.u64())]
     best_valid_mrr = r.f64()
     epoch = r.u64()
-    entities = r.array()
-    relations = r.array()
-    layers = []
-    for i in range(config.layers):
-        w0 = r.array()
-        w1 = r.array()
-        layers.append(
-            LayerParams(
-                w0=ad.tensor(w0, requires_grad=True, name=f"w0_{i}"),
-                w1=ad.tensor(w1, requires_grad=True, name=f"w1_{i}"),
-            )
-        )
-    state = ModelState(
-        assumption=config.assumption,
-        entity_embed=ad.tensor(entities, requires_grad=True, name="entity_embed"),
-        relation_params=ad.tensor(relations, requires_grad=True, name="relation_params"),
-        layers=layers,
-    )
+    arrays = [r.array() for _ in range(2 + 2 * config.layers)]
+    state = ModelState.from_arrays(config.assumption, arrays)
+    entities, relations = arrays[:2]
     if entities.shape != (len(entity_names), config.dim):
         raise CheckpointError(
             f"entity array {entities.shape} does not match "

@@ -8,7 +8,6 @@ debug} sets verbosity (default info); logs go to stderr, results to stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import _FLOAT_FIELDS, _INT_FIELDS, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import encode_arrays, materialize_relations
 from .errors import (
     CheckpointError,
@@ -36,13 +35,29 @@ from .evaluator import (
 )
 from .kg import SPLIT_FILES, Triple, build_index, known_triple_set, load_dataset, write_dataset
 from .kinship import generate_kinship
-from .trainer import TrainConfig, TrainingAborted, param_count_report, train
+from .trainer import (
+    CONFIG_FIELDS,
+    NORMS,
+    TrainConfig,
+    TrainingAborted,
+    config_values,
+    param_count_report,
+    parse_config_value,
+    train,
+)
+from .transform import Assumption
 
 logger = logging.getLogger("transgcn.cli")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
-CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+# Flag spellings for the config fields that take a name; "selfadv" is the
+# accepted short form of "self-adversarial".
+_FLAG_CHOICES = {
+    "assumption": [a.value for a in Assumption],
+    "norm": list(NORMS),
+    "sampling": ["vanilla", "selfadv"],
+}
 
 
 def configure_logging() -> None:
@@ -65,9 +80,9 @@ def configure_logging() -> None:
     console.setLevel(_LOG_LEVELS[raw])
 
 
-def read_config_file(path) -> dict[str, str]:
-    """Flat `key = value` lines; `#` starts a comment."""
-    values: dict[str, str] = {}
+def read_config_file(path) -> dict:
+    """Field values from flat `key = value` lines; `#` starts a comment."""
+    values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -82,27 +97,13 @@ def read_config_file(path) -> dict[str, str]:
         key = key.strip()
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        values[key] = parse_config_value(key, value.strip())
     return values
-
-
-def _coerce(key: str, value: str):
-    try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
-    except ValueError as err:
-        raise ConfigError(f"config key {key!r} has a bad value {value!r}") from err
-    return value
 
 
 def resolve_config(args) -> TrainConfig:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    values: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in read_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
+    values = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -111,22 +112,11 @@ def resolve_config(args) -> TrainConfig:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per config field: the field name with `_` spelled `-`."""
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--assumption", choices=["translation", "rotation"])
-    p.add_argument("--layers", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--norm", choices=["l1", "l2"])
-    p.add_argument("--sampling", choices=["vanilla", "selfadv"])
-    p.add_argument("--pretrain-epochs", type=int, dest="pretrain_epochs")
-    p.add_argument("--eval-every", type=int, dest="eval_every")
-    p.add_argument("--clip", type=float)
+    for name, kind in CONFIG_FIELDS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       choices=_FLAG_CHOICES.get(name))
 
 
 def _sha256(path: Path) -> str:
@@ -137,17 +127,10 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _plain(value):
-    return value.value if hasattr(value, "value") else value
-
-
 def _write_manifest(out: Path, data_dir: Path, config: TrainConfig) -> Path:
     manifest = {
         "tool_version": __version__,
-        "config": {
-            f.name: _plain(getattr(config, f.name))
-            for f in dataclasses.fields(TrainConfig)
-        },
+        "config": config_values(config),
         "seed": config.seed,
         "dataset": {
             "directory": str(data_dir),
@@ -253,6 +236,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     checkpoint, kg = _load_matching(args)
     config = checkpoint.config
     head, relation, tail = args.query
@@ -306,11 +291,8 @@ def cmd_predict(args) -> int:
 def cmd_inspect(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     config = checkpoint.config
-    for field in dataclasses.fields(TrainConfig):
-        value = getattr(config, field.name)
-        if hasattr(value, "value"):
-            value = value.value
-        print(f"config.{field.name}\t{value}")
+    for name, value in config_values(config).items():
+        print(f"config.{name}\t{value}")
     print(f"entities\t{len(checkpoint.entity_names)}")
     print(f"relations\t{len(checkpoint.relation_names)}")
     print(f"epoch\t{checkpoint.epoch}")

@@ -19,8 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
 from .kg import NeighborhoodIndex
-from .transform import Assumption, estimate_from_incoming, estimate_from_outgoing, \
-    rotation_phase_to_embedding
+from .transform import Assumption, estimate_from_incoming, estimate_from_outgoing
 
 
 @dataclass
@@ -44,6 +43,20 @@ class ModelState:
     entity_embed: Tensor
     relation_params: Tensor
     layers: list[LayerParams]
+
+    @classmethod
+    def from_arrays(cls, assumption: Assumption, arrays) -> "ModelState":
+        """Named trainable leaves from arrays in ``parameters()`` order.
+
+        That is entities, relations, then w0 and w1 for each layer; the
+        arrays are wrapped without copying.
+        """
+        leaves = [ad.tensor(values, requires_grad=True) for values in arrays]
+        layers = [LayerParams(w0, w1) for w0, w1 in zip(leaves[2::2], leaves[3::2])]
+        state = cls(assumption, leaves[0], leaves[1], layers)
+        for name, leaf in state.parameters().items():
+            leaf.name = name
+        return state
 
     @property
     def dim(self) -> int:
@@ -88,7 +101,7 @@ class ModelState:
 def materialize_relations(state: ModelState) -> Tensor:
     """Layer-0 relation rows: stored vectors, or unit rows built from phases."""
     if state.assumption is Assumption.ROTATION:
-        return rotation_phase_to_embedding(state.relation_params)
+        return ad.phase_embedding(state.relation_params)
     return state.relation_params
 
 
@@ -115,10 +128,6 @@ def aggregate_messages(
     return ad.matmul(scaled, w0)
 
 
-def update_entities(entities: Tensor, messages: Tensor) -> Tensor:
-    return ad.relu(ad.add(messages, entities))
-
-
 def update_relations(relations: Tensor, w1: Tensor, assumption: Assumption) -> Tensor:
     out = ad.relu(ad.matmul(relations, w1))
     if assumption is Assumption.ROTATION:
@@ -133,7 +142,7 @@ def encode(state: ModelState, index: NeighborhoodIndex) -> tuple[Tensor, Tensor]
     relations = materialize_relations(state)
     for layer in state.layers:
         messages = aggregate_messages(entities, relations, index, layer.w0, state.assumption)
-        entities = update_entities(entities, messages)
+        entities = ad.relu(ad.add(messages, entities))
         relations = update_relations(relations, layer.w1, state.assumption)
     return entities, relations
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import complex_product
 from .kg import KnowledgeGraph, NeighborhoodIndex, Triple, known_triple_set
 from .transform import Assumption
 
@@ -54,23 +55,11 @@ def candidate_scores(
     """Scores of every entity substituted into one slot of the triple."""
     h, r, t = triple
     rel = relations[r]
+    compose = np.add if assumption is Assumption.TRANSLATION else complex_product
     if side == "tail":
-        if assumption is Assumption.TRANSLATION:
-            est = entities[h] + rel
-        else:
-            k = entities.shape[1] // 2
-            hr, hi = entities[h][:k], entities[h][k:]
-            rr, ri = rel[:k], rel[k:]
-            est = np.concatenate([hr * rr - hi * ri, hr * ri + hi * rr])
-        diff = est - entities
+        diff = compose(entities[h], rel) - entities
     elif side == "head":
-        if assumption is Assumption.TRANSLATION:
-            diff = entities + rel - entities[t]
-        else:
-            k = entities.shape[1] // 2
-            er, ei = entities[:, :k], entities[:, k:]
-            rr, ri = rel[:k], rel[k:]
-            diff = np.concatenate([er * rr - ei * ri, er * ri + ei * rr], axis=1) - entities[t]
+        diff = compose(entities, rel) - entities[t]
     else:
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
     if norm == "l1":
@@ -128,6 +117,8 @@ def evaluate(
     independent of ``threads``: queries are chunked and merged positionally.
     """
     assumption = Assumption(assumption)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     triples = kg.split(split)
     if not triples:
         raise ValueError(f"cannot evaluate an empty {split} split")

@@ -156,40 +156,32 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
 class NeighborhoodIndex:
     """Train-split adjacency used by the encoder.
 
-    ``incoming[i]`` holds (head, relation) for every train edge pointing at
-    entity i, ``outgoing[i]`` holds (tail, relation) for every train edge
-    leaving i, and ``degree[i]`` is their total count (a self-loop counts
-    once in each list).  The flat ``heads``/``rels``/``tails`` arrays mirror
-    the train split in file order for vectorized message passing.
+    The flat ``heads``/``rels``/``tails`` arrays mirror the train split in
+    file order for vectorized message passing: edge k runs from
+    ``heads[k]`` to ``tails[k]`` under relation ``rels[k]``.  ``degree[i]``
+    counts the edges that end at entity i plus those that start there (a
+    self-loop counts twice).
     """
 
-    incoming: list[list[tuple[int, int]]]
-    outgoing: list[list[tuple[int, int]]]
     degree: np.ndarray
-    heads: np.ndarray = field(repr=False, default=None)
-    rels: np.ndarray = field(repr=False, default=None)
-    tails: np.ndarray = field(repr=False, default=None)
+    heads: np.ndarray = field(repr=False)
+    rels: np.ndarray = field(repr=False)
+    tails: np.ndarray = field(repr=False)
 
     @property
     def num_entities(self) -> int:
-        return len(self.incoming)
+        return len(self.degree)
 
 
 def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
     """Index train-split neighborhoods; valid/test edges never participate."""
-    incoming: list[list[tuple[int, int]]] = [[] for _ in range(kg.num_entities)]
-    outgoing: list[list[tuple[int, int]]] = [[] for _ in range(kg.num_entities)]
-    for h, r, t in kg.train:
-        outgoing[h].append((t, r))
-        incoming[t].append((h, r))
-    degree = np.array([len(incoming[i]) + len(outgoing[i]) for i in range(kg.num_entities)],
-                      dtype=np.int64)
     n = len(kg.train)
     heads = np.fromiter((t.head for t in kg.train), dtype=np.int64, count=n)
     rels = np.fromiter((t.relation for t in kg.train), dtype=np.int64, count=n)
     tails = np.fromiter((t.tail for t in kg.train), dtype=np.int64, count=n)
-    return NeighborhoodIndex(incoming=incoming, outgoing=outgoing, degree=degree,
-                             heads=heads, rels=rels, tails=tails)
+    degree = (np.bincount(heads, minlength=kg.num_entities)
+              + np.bincount(tails, minlength=kg.num_entities))
+    return NeighborhoodIndex(degree=degree, heads=heads, rels=rels, tails=tails)
 
 
 def known_triple_set(kg: KnowledgeGraph) -> frozenset[tuple[int, int, int]]:

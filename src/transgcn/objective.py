@@ -55,12 +55,6 @@ def _gamma_const(gamma: float) -> Tensor:
     return ad.tensor([[float(gamma)]])
 
 
-def margin_loss(pos_score: Tensor, neg_scores: Tensor, gamma: float) -> Tensor:
-    """Sum over negatives of max(0, -f(pos) + f(neg) + gamma), one positive."""
-    hinge = ad.relu(ad.add(ad.sub(neg_scores, pos_score), _gamma_const(gamma)))
-    return ad.sum_all(hinge)
-
-
 def batch_margin_loss(
     pos_scores: Tensor, neg_scores: Tensor, gamma: float, negatives_per_positive: int
 ) -> Tensor:
@@ -78,26 +72,17 @@ def batch_margin_loss(
     return ad.scale(ad.sum_all(hinge), 1.0 / b)
 
 
-def _softmax_blocks(scores: np.ndarray, alpha: float, block: int) -> np.ndarray:
-    s = alpha * scores.reshape(-1, block)
+def batch_self_adv_weights(neg_scores, alpha: float, negatives_per_positive: int) -> np.ndarray:
+    """Softmax of alpha * score within each positive's block of negatives.
+
+    Returns a column (n, 1).  Treated as constants downstream: no gradient
+    flows through the weights.
+    """
+    values = neg_scores.values if isinstance(neg_scores, Tensor) else np.asarray(neg_scores)
+    s = float(alpha) * values.astype(np.float64).reshape(-1, negatives_per_positive)
     s = s - s.max(axis=1, keepdims=True)
     e = np.exp(s)
     return (e / e.sum(axis=1, keepdims=True)).reshape(-1, 1)
-
-
-def self_adv_weights(neg_scores, alpha: float) -> np.ndarray:
-    """Detached softmax weights over one positive's negatives, column (n, 1).
-
-    Treated as constants downstream: no gradient flows through the weights.
-    """
-    values = neg_scores.values if isinstance(neg_scores, Tensor) else np.asarray(neg_scores)
-    return _softmax_blocks(values.astype(np.float64), float(alpha), values.size)
-
-
-def batch_self_adv_weights(neg_scores, alpha: float, negatives_per_positive: int) -> np.ndarray:
-    """Per-positive softmax blocks for grouped negative scores."""
-    values = neg_scores.values if isinstance(neg_scores, Tensor) else np.asarray(neg_scores)
-    return _softmax_blocks(values.astype(np.float64), float(alpha), negatives_per_positive)
 
 
 def batch_self_adv_loss(
@@ -118,12 +103,6 @@ def batch_self_adv_loss(
     neg_logs = ad.log_sigmoid(ad.scale(ad.add(neg_scores, g), -1.0))
     neg_term = ad.sum_all(ad.hadamard(neg_logs, ad.tensor(weights)))
     return ad.scale(ad.add(pos_term, neg_term), -1.0 / b)
-
-
-def self_adv_loss(pos_score: Tensor, neg_scores: Tensor, weights: np.ndarray,
-                  gamma: float) -> Tensor:
-    """Self-adversarial loss for a single positive and its negatives."""
-    return batch_self_adv_loss(pos_score, neg_scores, weights, gamma, neg_scores.rows)
 
 
 def sample_negatives(

@@ -14,13 +14,15 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward
-from .encoder import LayerParams, ModelState, encode, encode_arrays
+from .encoder import ModelState, encode, encode_arrays
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluator import evaluate
 from .kg import KnowledgeGraph, build_index
@@ -84,7 +86,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         checks = [
-            (self.lr > 0, f"lr must be positive, got {self.lr}"),
+            (math.isfinite(self.lr) and self.lr > 0,
+             f"lr must be finite and positive, got {self.lr}"),
             (self.layers >= 0, f"layers must be >= 0, got {self.layers}"),
             (self.dim >= 2, f"dim must be >= 2, got {self.dim}"),
             (self.negatives >= 1, f"negatives must be >= 1, got {self.negatives}"),
@@ -113,6 +116,29 @@ class TrainConfig:
     @property
     def relation_dim(self) -> int:
         return self.dim // 2 if self.assumption is Assumption.ROTATION else self.dim
+
+
+# Field name -> parser of its text form, in field order: int or float for a
+# numeric field, else str (TrainConfig normalizes and validates names).  Used by
+# config files, CLI flags, the checkpoint config block, manifest.json, inspect.
+CONFIG_FIELDS: dict[str, type] = {
+    name: next((t for t in (int, float) if t in (hint, *typing.get_args(hint))), str)
+    for name, hint in typing.get_type_hints(TrainConfig).items()
+}
+
+
+def parse_config_value(name: str, text: str):
+    """Value of config field ``name`` from its text form."""
+    try:
+        return CONFIG_FIELDS[name](text)
+    except ValueError:
+        raise ConfigError(f"config key {name!r} has a bad value {text!r}") from None
+
+
+def config_values(config: TrainConfig) -> dict:
+    """Field name -> plain value (enums as their value); str() gives the text form."""
+    values = {name: getattr(config, name) for name in CONFIG_FIELDS}
+    return {k: v.value if isinstance(v, Enum) else v for k, v in values.items()}
 
 
 @dataclass
@@ -174,48 +200,20 @@ def init_parameters(
     """Fresh ModelState; draw order is entities, relations, then layer weights."""
     d = config.dim
     limit = 6.0 / math.sqrt(d)
-    entities = rng.uniform(-limit, limit, size=(num_entities, d))
+    arrays = [rng.uniform(-limit, limit, size=(num_entities, d))]
     if config.assumption is Assumption.ROTATION:
-        relations = rng.uniform(0.0, 2.0 * math.pi, size=(num_relations, d // 2))
+        arrays.append(rng.uniform(0.0, 2.0 * math.pi, size=(num_relations, d // 2)))
     else:
         relations = rng.uniform(-limit, limit, size=(num_relations, d))
-        relations = relations / np.abs(relations).sum(axis=1, keepdims=True)
-    layers = []
-    for i in range(config.layers):
-        w0 = np.eye(d) + rng.uniform(-0.01, 0.01, size=(d, d))
-        w1 = np.eye(d) + rng.uniform(-0.01, 0.01, size=(d, d))
-        layers.append(
-            LayerParams(
-                w0=ad.tensor(w0, requires_grad=True, name=f"w0_{i}"),
-                w1=ad.tensor(w1, requires_grad=True, name=f"w1_{i}"),
-            )
-        )
-    return ModelState(
-        assumption=config.assumption,
-        entity_embed=ad.tensor(entities, requires_grad=True, name="entity_embed"),
-        relation_params=ad.tensor(relations, requires_grad=True, name="relation_params"),
-        layers=layers,
-    )
+        arrays.append(relations / np.abs(relations).sum(axis=1, keepdims=True))
+    for _ in range(2 * config.layers):  # w0 then w1 for each layer
+        arrays.append(np.eye(d) + rng.uniform(-0.01, 0.01, size=(d, d)))
+    return ModelState.from_arrays(config.assumption, arrays)
 
 
 def _copy_state(state: ModelState) -> ModelState:
-    layers = [
-        LayerParams(
-            w0=ad.tensor(layer.w0.values.copy(), requires_grad=True, name=layer.w0.name),
-            w1=ad.tensor(layer.w1.values.copy(), requires_grad=True, name=layer.w1.name),
-        )
-        for layer in state.layers
-    ]
-    return ModelState(
-        assumption=state.assumption,
-        entity_embed=ad.tensor(
-            state.entity_embed.values.copy(), requires_grad=True, name="entity_embed"
-        ),
-        relation_params=ad.tensor(
-            state.relation_params.values.copy(), requires_grad=True, name="relation_params"
-        ),
-        layers=layers,
-    )
+    arrays = [p.values.copy() for p in state.parameters().values()]
+    return ModelState.from_arrays(state.assumption, arrays)
 
 
 def _clip_gradients(params: dict[str, ad.Tensor], max_norm: float) -> float:

@@ -32,8 +32,3 @@ def estimate_from_outgoing(v: Tensor, r: Tensor, assumption: Assumption) -> Tens
     if assumption is Assumption.TRANSLATION:
         return ad.sub(v, r)
     return ad.complex_hadamard(v, ad.complex_conjugate(r))
-
-
-def rotation_phase_to_embedding(theta: Tensor) -> Tensor:
-    """Materialize phases into split-half complex rows of modulus one."""
-    return ad.phase_embedding(theta)

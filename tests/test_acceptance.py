@@ -30,7 +30,6 @@ from transgcn.trainer import TrainConfig, init_parameters, param_count_report, t
 from transgcn.transform import (
     estimate_from_incoming,
     estimate_from_outgoing,
-    rotation_phase_to_embedding,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -230,7 +229,7 @@ def test_03_rotation_algebra():
     rows, half = 1000, 50  # 10^5 complex coordinates
     h = ad.tensor(rng.normal(size=(rows, 2 * half)))
     theta = ad.tensor(rng.uniform(0, 2 * np.pi, size=(rows, half)))
-    r = rotation_phase_to_embedding(theta)
+    r = ad.phase_embedding(theta)
 
     def moduli(t):
         v = t.values

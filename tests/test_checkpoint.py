@@ -2,6 +2,7 @@
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from transgcn.evaluator import evaluate
 from transgcn.kg import build_graph, build_index
 from transgcn.kinship import generate_kinship
 from transgcn.trainer import TrainConfig, train
+
+
+GOLDEN_V1 = Path(__file__).parent / "data" / "golden_v1.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,30 @@ class TestRoundTrip:
         ck = train(kg, TrainConfig(dim=4, layers=0, epochs=1, seed=1))
         assert math.isnan(ck.best_valid_mrr)
         assert math.isnan(from_bytes(to_bytes(ck)).best_valid_mrr)
+
+
+class TestGoldenFile:
+    """A format-1 checkpoint kept as bytes, written by the first release.
+
+    It holds a rotation model (one layer, dim 4) trained for three epochs on
+    a five-entity graph with a non-ASCII entity name.
+    """
+
+    def test_loads_and_reserializes_identically(self):
+        data = GOLDEN_V1.read_bytes()
+        loaded = from_bytes(data)
+        assert loaded.version == 1
+        assert loaded.config == TrainConfig(
+            assumption="rotation", layers=1, dim=4, gamma=5.5, alpha=0.5, negatives=2,
+            lr=0.01, epochs=3, batch=2, eval_every=2, seed=7, norm="l2",
+            pretrain_epochs=1, clip=2.5,
+        )
+        assert loaded.entity_names == ["a", "b", "c", "d", "\u00e9"]
+        assert loaded.relation_names == ["r", "s"]
+        params = loaded.state.parameters()
+        assert list(params) == ["entity_embed", "relation_params", "w0_0", "w1_0"]
+        assert all(t.name == name and t.requires_grad for name, t in params.items())
+        assert to_bytes(loaded) == data
 
 
 class TestCorruption:

@@ -1,14 +1,16 @@
 """End-to-end command tests driven through main(argv) in-process."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from transgcn import __version__
-from transgcn.checkpoint import load_checkpoint
-from transgcn.cli import main
+from transgcn.checkpoint import from_bytes, load_checkpoint, to_bytes
+from transgcn.cli import build_parser, main, resolve_config
 from transgcn.kg import load_dataset
+from transgcn.trainer import Checkpoint, TrainConfig, init_parameters
 
 TOY_ARGS = ["--seed", "0", "--couples", "3", "--valid-size", "20", "--test-size", "20"]
 
@@ -168,6 +170,40 @@ class TestTrainCommand:
         )
 
 
+# A text value for every TrainConfig field that differs from its default.
+NON_DEFAULT_CONFIG = {
+    "assumption": "rotation", "layers": "2", "dim": "6", "gamma": "3.25", "alpha": "0.5",
+    "negatives": "3", "lr": "0.0125", "epochs": "7", "batch": "17", "eval_every": "3",
+    "seed": "11", "norm": "l2", "sampling": "selfadv", "pretrain_epochs": "2", "clip": "2.5",
+}
+
+
+class TestConfigSurface:
+    def test_flags_and_file_lines_round_trip(self, tmp_path):
+        fields = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert sorted(NON_DEFAULT_CONFIG) == sorted(fields)
+        flags = []
+        for key, value in NON_DEFAULT_CONFIG.items():
+            flags += ["--" + key.replace("_", "-"), value]
+        cfg_file = tmp_path / "all.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in NON_DEFAULT_CONFIG.items()))
+        parser = build_parser()
+        from_flags = resolve_config(parser.parse_args(["train", "--data", "d", *flags]))
+        from_file = resolve_config(
+            parser.parse_args(["train", "--data", "d", "--config", str(cfg_file)])
+        )
+        assert from_flags == from_file
+        default = TrainConfig()
+        for name in fields:
+            assert getattr(from_flags, name) != getattr(default, name), name
+        state = init_parameters(from_flags, 5, 2, np.random.default_rng(0))
+        checkpoint = Checkpoint(
+            config=from_flags, state=state, entity_names=list("abcde"),
+            relation_names=["r", "s"], best_valid_mrr=0.5, epoch=3,
+        )
+        assert from_bytes(to_bytes(checkpoint)).config == from_flags
+
+
 class TestEvalCommand:
     def test_prints_and_writes_report(self, run_dir, data_dir, tmp_path, capsys):
         out = tmp_path / "rep"
@@ -227,6 +263,15 @@ class TestEvalCommand:
         ])
         assert code == 2
         assert "vocabulary mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_bad_thread_count_exits_2(self, run_dir, data_dir, tmp_path, threads, capsys):
+        code = main([
+            "eval", "--checkpoint", str(run_dir / "model.ckpt"), "--data", str(data_dir),
+            "--threads", threads, "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
 
     def test_corrupted_checkpoint_exits_2(self, data_dir, tmp_path, capsys):
         fake = tmp_path / "fake.ckpt"
@@ -310,7 +355,7 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "query", [["zzz", "parent", "?"], ["g2_00", "nosuchrel", "?"],
                   ["g2_00", "parent", "g2_01"], ["?", "parent", "?"],
-                  ["g2_00", "?", "g2_01"]],
+                  ["g2_00", "?", "g2_01"], ["--k", "0", "g2_00", "parent", "?"]],
     )
     def test_bad_queries_exit_2(self, run_dir, data_dir, query, capsys):
         code = main([

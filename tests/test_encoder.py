@@ -19,8 +19,17 @@ from transgcn.transform import Assumption
 RESET = 1e-12
 
 
-def reference_encode(entity, rel_params, layers, assumption, index):
-    """Straight-line per-entity loop encoder used as the independent oracle."""
+def reference_encode(entity, rel_params, layers, assumption, kg):
+    """Straight-line per-entity loop encoder used as the independent oracle.
+
+    Neighbor lists come from the graph's train triples, not from the index
+    that the encoder under test reads.
+    """
+    incoming = [[] for _ in range(kg.num_entities)]
+    outgoing = [[] for _ in range(kg.num_entities)]
+    for h, r, t in kg.train:
+        outgoing[h].append((t, r))
+        incoming[t].append((h, r))
     V = entity.copy()
     if assumption is Assumption.ROTATION:
         R = np.concatenate([np.cos(rel_params), np.sin(rel_params)], axis=1)
@@ -44,11 +53,11 @@ def reference_encode(entity, rel_params, layers, assumption, index):
         new_v = np.zeros_like(V)
         for i in range(V.shape[0]):
             acc = np.zeros(V.shape[1])
-            for j, rel in index.incoming[i]:
+            for j, rel in incoming[i]:
                 acc += compose_in(V[j], R[rel])
-            for j, rel in index.outgoing[i]:
+            for j, rel in outgoing[i]:
                 acc += compose_out(V[j], R[rel])
-            c = len(index.incoming[i]) + len(index.outgoing[i])
+            c = len(incoming[i]) + len(outgoing[i])
             msg = (acc / c) @ w0 if c else np.zeros(V.shape[1])
             new_v[i] = np.maximum(msg + V[i], 0.0)
         new_r = np.maximum(R @ w1, 0.0)
@@ -132,7 +141,7 @@ class TestAgainstReference:
                 state.relation_params.values,
                 [(l.w0.values, l.w1.values) for l in state.layers],
                 assumption,
-                index,
+                kg,
             )
             np.testing.assert_allclose(got_v, want_v, atol=1e-9)
             np.testing.assert_allclose(got_r, want_r, atol=1e-9)

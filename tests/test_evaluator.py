@@ -229,6 +229,13 @@ class TestEvaluate:
             evaluate(kg, "test", np.zeros((2, 4)), np.zeros((1, 4)),
                      Assumption.TRANSLATION, "l1")
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_bad_thread_count_rejected(self, threads):
+        kg = build_graph([("a", "r", "b")], [], [("a", "r", "b")])
+        with pytest.raises(ValueError, match="threads"):
+            evaluate(kg, "test", np.zeros((2, 4)), np.zeros((1, 4)),
+                     Assumption.TRANSLATION, "l1", threads=threads)
+
     def test_unseen_test_entity_does_not_crash(self):
         kg = build_graph([("a", "r", "b")], [], [("zzz", "r", "a")])
         rng = np.random.default_rng(9)

@@ -9,12 +9,9 @@ from transgcn.objective import (
     batch_margin_loss,
     batch_self_adv_loss,
     batch_self_adv_weights,
-    margin_loss,
     sample_negatives,
     score,
     score_triples,
-    self_adv_loss,
-    self_adv_weights,
 )
 from transgcn.transform import Assumption
 
@@ -99,21 +96,25 @@ class TestScore:
 
 class TestMarginLoss:
     def test_inactive_when_positive_beats_negative_by_margin(self):
-        loss = margin_loss(col([-1.0]), col([-3.0]), gamma=1.0)
+        neg = col([-3.0])
+        loss = batch_margin_loss(col([-1.0]), neg, gamma=1.0, negatives_per_positive=neg.rows)
         np.testing.assert_array_equal(loss.values, [[0.0]])
 
     def test_active_hinge(self):
-        loss = margin_loss(col([-3.0]), col([-1.0]), gamma=1.0)
+        neg = col([-1.0])
+        loss = batch_margin_loss(col([-3.0]), neg, gamma=1.0, negatives_per_positive=neg.rows)
         np.testing.assert_array_equal(loss.values, [[3.0]])
 
     def test_zero_at_equal_scores_zero_margin(self):
-        loss = margin_loss(col([-2.0]), col([-2.0]), gamma=0.0)
+        neg = col([-2.0])
+        loss = batch_margin_loss(col([-2.0]), neg, gamma=0.0, negatives_per_positive=neg.rows)
         np.testing.assert_array_equal(loss.values, [[0.0]])
 
     def test_sums_over_negatives(self):
         # hinges: max(0, -1+gamma-(-3))=0 with gamma=1? recompute: terms are
         # relu(neg - pos + gamma): (-3+1+1)=relu(-1)=0 and (-1.5+1+1)=0.5
-        loss = margin_loss(col([-1.0]), col([-3.0, -1.5]), gamma=1.0)
+        neg = col([-3.0, -1.5])
+        loss = batch_margin_loss(col([-1.0]), neg, gamma=1.0, negatives_per_positive=neg.rows)
         np.testing.assert_allclose(loss.values, [[0.5]], atol=1e-15)
 
     def test_batch_is_mean_of_per_positive(self):
@@ -124,8 +125,9 @@ class TestMarginLoss:
         batch = batch_margin_loss(ad.tensor(pos), ad.tensor(neg), gamma=1.0,
                                   negatives_per_positive=n)
         singles = [
-            float(margin_loss(ad.tensor(pos[i : i + 1]),
-                              ad.tensor(neg[i * n : (i + 1) * n]), 1.0).values[0, 0])
+            float(batch_margin_loss(ad.tensor(pos[i : i + 1]),
+                                    ad.tensor(neg[i * n : (i + 1) * n]), 1.0,
+                                    negatives_per_positive=n).values[0, 0])
             for i in range(b)
         ]
         np.testing.assert_allclose(batch.values[0, 0], np.mean(singles), rtol=1e-12)
@@ -134,30 +136,35 @@ class TestMarginLoss:
         pos = ad.tensor([[-3.0]], requires_grad=True)
         neg = ad.tensor([[-1.0]], requires_grad=True)
         with ad.Tape() as tape:
-            ad.backward(tape, margin_loss(pos, neg, gamma=1.0))
+            ad.backward(tape, batch_margin_loss(pos, neg, gamma=1.0,
+                                                negatives_per_positive=neg.rows))
         assert pos.grad[0, 0] < 0  # pushing the positive score up lowers loss
         assert neg.grad[0, 0] > 0
 
 
 class TestSelfAdvWeights:
     def test_frozen_two_scores(self):
-        w = self_adv_weights(col([0.0, np.log(3.0)]), alpha=1.0)
+        neg = col([0.0, np.log(3.0)])
+        w = batch_self_adv_weights(neg, alpha=1.0, negatives_per_positive=neg.rows)
         np.testing.assert_allclose(w, [[0.25], [0.75]], rtol=1e-12)
 
     def test_alpha_zero_uniform(self):
-        w = self_adv_weights(col([-5.0, 1.0, 40.0, 2.0]), alpha=0.0)
+        neg = col([-5.0, 1.0, 40.0, 2.0])
+        w = batch_self_adv_weights(neg, alpha=0.0, negatives_per_positive=neg.rows)
         np.testing.assert_allclose(w, np.full((4, 1), 0.25), rtol=1e-15)
 
     def test_sum_to_one_and_shift_invariance(self):
         rng = np.random.default_rng(4)
         s = rng.uniform(-20, 20, size=(8, 1))
-        w = self_adv_weights(ad.tensor(s), alpha=1.7)
+        w = batch_self_adv_weights(ad.tensor(s), alpha=1.7, negatives_per_positive=len(s))
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-9)
-        w_shift = self_adv_weights(ad.tensor(s + 300.0), alpha=1.7)
+        w_shift = batch_self_adv_weights(ad.tensor(s + 300.0), alpha=1.7,
+                                         negatives_per_positive=len(s))
         np.testing.assert_allclose(w, w_shift, atol=1e-12)
 
     def test_extreme_scores_no_overflow(self):
-        w = self_adv_weights(col([1e4, -1e4]), alpha=1.0)
+        neg = col([1e4, -1e4])
+        w = batch_self_adv_weights(neg, alpha=1.0, negatives_per_positive=neg.rows)
         np.testing.assert_allclose(w, [[1.0], [0.0]], atol=1e-12)
 
     def test_batch_blocks_normalize_independently(self):
@@ -169,31 +176,41 @@ class TestSelfAdvWeights:
 class TestSelfAdvLoss:
     def test_frozen_symmetric_case(self):
         # f(pos) = -gamma and one negative at -gamma gives ln2 + ln2
-        loss = self_adv_loss(col([-2.0]), col([-2.0]), np.array([[1.0]]), gamma=2.0)
+        neg = col([-2.0])
+        loss = batch_self_adv_loss(col([-2.0]), neg, np.array([[1.0]]), gamma=2.0,
+                                   negatives_per_positive=neg.rows)
         np.testing.assert_allclose(loss.values, [[2 * LN2]], rtol=1e-12)
 
     def test_positive_term_vanishes_for_good_positive(self):
-        loss = self_adv_loss(col([-0.01]), col([-50.0]), np.array([[1.0]]), gamma=12.0)
+        neg = col([-50.0])
+        loss = batch_self_adv_loss(col([-0.01]), neg, np.array([[1.0]]), gamma=12.0,
+                                   negatives_per_positive=neg.rows)
         assert 0 < loss.values[0, 0] < 1e-4
 
     def test_equal_negatives_match_single_negative(self):
-        w = self_adv_weights(col([-3.0, -3.0]), alpha=1.0)
-        two = self_adv_loss(col([-1.0]), col([-3.0, -3.0]), w, gamma=2.0)
-        one = self_adv_loss(col([-1.0]), col([-3.0]), np.array([[1.0]]), gamma=2.0)
+        neg2, neg1 = col([-3.0, -3.0]), col([-3.0])
+        w = batch_self_adv_weights(neg2, alpha=1.0, negatives_per_positive=neg2.rows)
+        two = batch_self_adv_loss(col([-1.0]), neg2, w, gamma=2.0,
+                                  negatives_per_positive=neg2.rows)
+        one = batch_self_adv_loss(col([-1.0]), neg1, np.array([[1.0]]), gamma=2.0,
+                                  negatives_per_positive=neg1.rows)
         np.testing.assert_allclose(two.values, one.values, rtol=1e-12)
 
     def test_alpha_zero_is_plain_mean(self):
         rng = np.random.default_rng(5)
         neg = -rng.uniform(0, 5, size=(6, 1))
-        w = self_adv_weights(ad.tensor(neg), alpha=0.0)
-        loss = self_adv_loss(col([-1.0]), ad.tensor(neg), w, gamma=2.0)
+        w = batch_self_adv_weights(ad.tensor(neg), alpha=0.0, negatives_per_positive=len(neg))
+        loss = batch_self_adv_loss(col([-1.0]), ad.tensor(neg), w, gamma=2.0,
+                                   negatives_per_positive=len(neg))
         direct = -np.log(1 / (1 + np.exp(-(2.0 - 1.0)))) - np.mean(
             np.log(1 / (1 + np.exp(-(-neg - 2.0))))
         )
         np.testing.assert_allclose(loss.values[0, 0], direct, rtol=1e-9)
 
     def test_deep_negative_scores_stay_finite(self):
-        loss = self_adv_loss(col([-800.0]), col([-900.0]), np.array([[1.0]]), gamma=12.0)
+        neg = col([-900.0])
+        loss = batch_self_adv_loss(col([-800.0]), neg, np.array([[1.0]]), gamma=12.0,
+                                   negatives_per_positive=neg.rows)
         assert np.isfinite(loss.values).all()
 
     def test_batch_is_mean_of_per_positive(self):
@@ -206,11 +223,12 @@ class TestSelfAdvLoss:
                                     negatives_per_positive=n)
         singles = [
             float(
-                self_adv_loss(
+                batch_self_adv_loss(
                     ad.tensor(pos[i : i + 1]),
                     ad.tensor(neg[i * n : (i + 1) * n]),
                     w[i * n : (i + 1) * n],
                     3.0,
+                    negatives_per_positive=n,
                 ).values[0, 0]
             )
             for i in range(b)
@@ -221,8 +239,8 @@ class TestSelfAdvLoss:
         neg = ad.tensor([[-1.0], [-2.0]], requires_grad=True)
         pos = ad.tensor([[-1.0]], requires_grad=True)
         with ad.Tape() as tape:
-            w = self_adv_weights(neg, alpha=1.0)
-            loss = self_adv_loss(pos, neg, w, gamma=2.0)
+            w = batch_self_adv_weights(neg, alpha=1.0, negatives_per_positive=neg.rows)
+            loss = batch_self_adv_loss(pos, neg, w, gamma=2.0, negatives_per_positive=neg.rows)
             ad.backward(tape, loss)
         # gradient equals the weighted log-sigmoid path only: d/dneg_i = w_i * sigmoid(neg_i + gamma)
         sig = 1 / (1 + np.exp(-(neg.values + 2.0)))

@@ -93,6 +93,7 @@ class TestTrainConfig:
             {"assumption": "projection"},
             {"gamma": float("inf")},
             {"alpha": -1.0},
+            {"lr": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

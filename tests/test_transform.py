@@ -9,7 +9,6 @@ from transgcn.transform import (
     Assumption,
     estimate_from_incoming,
     estimate_from_outgoing,
-    rotation_phase_to_embedding,
 )
 
 
@@ -52,7 +51,7 @@ class TestRotation:
         rng = np.random.default_rng(1)
         v = rng.standard_normal((6, 10))
         theta = ad.tensor(rng.uniform(-np.pi, np.pi, size=(6, 5)))
-        r = rotation_phase_to_embedding(theta)
+        r = ad.phase_embedding(theta)
         est = estimate_from_incoming(ad.tensor(v), r, Assumption.ROTATION)
         back = estimate_from_outgoing(est, r, Assumption.ROTATION)
         np.testing.assert_allclose(back.values, v, atol=1e-12)
@@ -60,7 +59,7 @@ class TestRotation:
     def test_modulus_preserved_by_unit_rotation(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal((4, 8))
-        r = rotation_phase_to_embedding(ad.tensor(rng.uniform(0, 2 * np.pi, size=(4, 4))))
+        r = ad.phase_embedding(ad.tensor(rng.uniform(0, 2 * np.pi, size=(4, 4))))
         est = estimate_from_incoming(ad.tensor(v), r, Assumption.ROTATION).values
         np.testing.assert_allclose(
             np.hypot(est[:, :4], est[:, 4:]), np.hypot(v[:, :4], v[:, 4:]), atol=1e-12
@@ -75,19 +74,19 @@ class TestRotation:
 
 class TestPhaseEmbedding:
     def test_zero_and_quarter_turn(self):
-        out = rotation_phase_to_embedding(ad.tensor([[0.0, np.pi / 2]]))
+        out = ad.phase_embedding(ad.tensor([[0.0, np.pi / 2]]))
         np.testing.assert_allclose(out.values, [[1.0, 0.0, 0.0, 1.0]], atol=1e-15)
 
     def test_unit_modulus_outside_principal_range(self):
         rng = np.random.default_rng(3)
         theta = rng.uniform(-100.0, 100.0, size=(10, 6))
-        out = rotation_phase_to_embedding(ad.tensor(theta)).values
+        out = ad.phase_embedding(ad.tensor(theta)).values
         np.testing.assert_allclose(np.hypot(out[:, :6], out[:, 6:]), 1.0, atol=1e-12)
 
     def test_gradient_flows_to_phases(self):
         theta = ad.tensor([[0.3, -1.2]], requires_grad=True)
         with ad.Tape() as tape:
-            r = rotation_phase_to_embedding(theta)
+            r = ad.phase_embedding(theta)
             est = estimate_from_incoming(ad.tensor([[1.0, 0.5, -0.5, 2.0]]), r, Assumption.ROTATION)
             ad.backward(tape, ad.sum_all(est))
         assert np.abs(theta.grad).sum() > 0
