@@ -22,14 +22,16 @@ _tape_stack: list["Tape"] = []
 
 
 class Tensor:
-    """A 2-D float64 matrix with an optional gradient accumulator."""
+    """A 2-D float64 matrix with an optional gradient accumulator.
+
+    Values are checked for NaN/inf where tensors are made: ``tensor()`` for
+    leaves, ``_make_result`` for op results.
+    """
 
     def __init__(self, values: np.ndarray, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D matrices, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NumericError("non-finite values in tensor")
         self.values = arr
         self.requires_grad = requires_grad
         self.grad = np.zeros(arr.shape, dtype=np.float64) if requires_grad else None
@@ -57,8 +59,11 @@ class Tensor:
 
 
 def tensor(values, requires_grad: bool = False, name: str | None = None) -> Tensor:
-    """Create a leaf tensor (lists accepted, cast to float64)."""
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad, name=name)
+    """Create a finite leaf tensor (lists accepted, cast to float64)."""
+    leaf = Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad, name=name)
+    if not np.isfinite(leaf.values).all():
+        raise NumericError("non-finite values in tensor")
+    return leaf
 
 
 class Tape:

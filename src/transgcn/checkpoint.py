@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .encoder import ModelState
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .trainer import (
     CHECKPOINT_VERSION,
     CONFIG_FIELDS,
@@ -157,7 +157,10 @@ def from_bytes(data: bytes) -> Checkpoint:
     best_valid_mrr = r.f64()
     epoch = r.u64()
     arrays = [r.array() for _ in range(2 + 2 * config.layers)]
-    state = ModelState.from_arrays(config.assumption, arrays)
+    try:
+        state = ModelState.from_arrays(config.assumption, arrays)
+    except NumericError as err:
+        raise CheckpointError(f"unusable checkpoint arrays: {err}") from err
     entities, relations = arrays[:2]
     if entities.shape != (len(entity_names), config.dim):
         raise CheckpointError(

@@ -38,6 +38,7 @@ from .kinship import generate_kinship
 from .trainer import (
     CONFIG_FIELDS,
     NORMS,
+    SAMPLING_MODES,
     TrainConfig,
     TrainingAborted,
     config_values,
@@ -56,7 +57,7 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 _FLAG_CHOICES = {
     "assumption": [a.value for a in Assumption],
     "norm": list(NORMS),
-    "sampling": ["vanilla", "selfadv"],
+    "sampling": [*SAMPLING_MODES, "selfadv"],
 }
 
 
@@ -240,7 +241,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     checkpoint, kg = _load_matching(args)
     config = checkpoint.config
-    head, relation, tail = args.query
+    head, relation, tail = args.head, args.relation, args.tail
     holes = [x == "?" for x in (head, relation, tail)]
     if holes[1] or sum(holes) != 1:
         raise ConfigError("query must be exactly `h r ?` or `? r t`")
@@ -382,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--k", type=int, default=10)
     p_pred.add_argument("--keep-known", action="store_true", dest="keep_known",
                         help="keep known completions, annotated, instead of filtering")
-    p_pred.add_argument("query", nargs=3, metavar=("HEAD", "RELATION", "TAIL"),
-                        help="use ? for the slot to predict")
+    p_pred.add_argument("head", metavar="HEAD", help="entity name, or ? to predict it")
+    p_pred.add_argument("relation", metavar="RELATION", help="relation name")
+    p_pred.add_argument("tail", metavar="TAIL", help="entity name, or ? to predict it")
     p_pred.set_defaults(func=cmd_predict)
 
     p_ins = sub.add_parser("inspect", help="summarize a checkpoint")

@@ -12,10 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kg import Triple
 from .transform import Assumption, estimate_from_incoming
-
-FILTER_RETRIES = 100
 
 
 def _norm_rows(diff: Tensor, norm: str) -> Tensor:
@@ -106,38 +103,23 @@ def batch_self_adv_loss(
 
 
 def sample_negatives(
-    positive: Triple,
+    heads: np.ndarray,
+    rels: np.ndarray,
+    tails: np.ndarray,
     n: int,
     num_entities: int,
     rng: np.random.Generator,
-    known: frozenset | set | None = None,
-) -> list[Triple]:
-    """Corrupt head or tail uniformly, replacement always differing from the original.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` corruptions per positive, as contiguous per-positive blocks.
 
-    With ``known`` supplied, corruptions colliding with known triples are
-    resampled up to FILTER_RETRIES times (the last draw is kept if every
-    retry collides).  Default is unfiltered.
+    Each corrupts the head or the tail with equal odds; the replacement is
+    uniform over the entities other than the original.  Unfiltered: a
+    corruption may be a known triple.
     """
     if num_entities < 2:
         raise ValueError("need at least two entities to corrupt a triple")
-    out: list[Triple] = []
-    for _ in range(n):
-        neg = _corrupt(positive, num_entities, rng)
-        if known is not None:
-            tries = 0
-            while (neg.head, neg.relation, neg.tail) in known and tries < FILTER_RETRIES:
-                neg = _corrupt(positive, num_entities, rng)
-                tries += 1
-        out.append(neg)
-    return out
-
-
-def _corrupt(positive: Triple, num_entities: int, rng: np.random.Generator) -> Triple:
-    corrupt_head = bool(rng.integers(0, 2))
-    original = positive.head if corrupt_head else positive.tail
-    draw = int(rng.integers(0, num_entities - 1))
-    if draw >= original:
-        draw += 1  # uniform over entities != original
-    if corrupt_head:
-        return Triple(draw, positive.relation, positive.tail)
-    return Triple(positive.head, positive.relation, draw)
+    nh, nr, nt = (np.repeat(np.asarray(a, dtype=np.int64), n) for a in (heads, rels, tails))
+    corrupt_head = rng.integers(0, 2, size=nh.size).astype(bool)
+    draw = rng.integers(0, num_entities - 1, size=nh.size)
+    draw += draw >= np.where(corrupt_head, nh, nt)  # uniform over entities != original
+    return np.where(corrupt_head, draw, nh), nr, np.where(corrupt_head, nt, draw)

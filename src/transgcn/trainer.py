@@ -301,21 +301,11 @@ def train(
             else dataclasses.replace(state, layers=state.layers[:active])
         )
         order = sample_rng.permutation(len(kg.train))
-        total, count = 0.0, 0
+        total = 0.0
         for start in range(0, len(order), config.batch):
             chunk = order[start : start + config.batch]
-            positives = [kg.train[i] for i in chunk]
-            negatives = [
-                neg
-                for pos in positives
-                for neg in sample_negatives(pos, n, kg.num_entities, sample_rng)
-            ]
-            ph = np.array([p.head for p in positives], dtype=np.int64)
-            pr = np.array([p.relation for p in positives], dtype=np.int64)
-            pt = np.array([p.tail for p in positives], dtype=np.int64)
-            nh = np.array([q.head for q in negatives], dtype=np.int64)
-            nr = np.array([q.relation for q in negatives], dtype=np.int64)
-            nt = np.array([q.tail for q in negatives], dtype=np.int64)
+            ph, pr, pt = index.heads[chunk], index.rels[chunk], index.tails[chunk]
+            nh, nr, nt = sample_negatives(ph, pr, pt, n, kg.num_entities, sample_rng)
             with Tape() as tape:
                 entities, relations = encode(step_state, index)
                 pos_scores = score_triples(
@@ -344,9 +334,8 @@ def train(
                     raise NumericError(f"non-finite update for {name} at step {step}")
                 adam_m[name], adam_v[name] = m, v
                 p.values = updated
-            total += float(loss.values[0, 0]) * len(positives)
-            count += len(positives)
-        return total / count
+            total += float(loss.values[0, 0]) * len(chunk)
+        return total / len(order)
 
     epoch = 0
     try:

@@ -91,16 +91,8 @@ def test_01_gradients_match_finite_differences():
             gamma=1.5, alpha=1.0, negatives=2, seed=0,
         )
         state = init_parameters(config, num_e, num_r, rng)
-        positives = kg.train[:6]
-        negatives = [
-            neg for pos in positives for neg in sample_negatives(pos, 2, num_e, rng)
-        ]
-        ph = np.array([p.head for p in positives])
-        pr = np.array([p.relation for p in positives])
-        pt = np.array([p.tail for p in positives])
-        nh = np.array([q.head for q in negatives])
-        nr = np.array([q.relation for q in negatives])
-        nt = np.array([q.tail for q in negatives])
+        ph, pr, pt = index.heads[:6], index.rels[:6], index.tails[:6]
+        nh, nr, nt = sample_negatives(ph, pr, pt, 2, num_e, rng)
         asm = state.assumption
 
         def forward(weights=None):

@@ -193,6 +193,8 @@ class TestConfigSurface:
             parser.parse_args(["train", "--data", "d", "--config", str(cfg_file)])
         )
         assert from_flags == from_file
+        long_spelling = ["train", "--data", "d", *flags, "--sampling", "self-adversarial"]
+        assert resolve_config(parser.parse_args(long_spelling)) == from_flags
         default = TrainConfig()
         for name in fields:
             assert getattr(from_flags, name) != getattr(default, name), name
@@ -279,6 +281,19 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(fake), "--data", str(data_dir)])
         assert code == 2
         assert "bad checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["eval", "inspect"])
+    def test_non_finite_checkpoint_exits_2(
+        self, run_dir, data_dir, tmp_path, command, bad, capsys
+    ):
+        checkpoint = load_checkpoint(run_dir / "model.ckpt")
+        checkpoint.state.entity_embed.values[0, 0] = bad
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(to_bytes(checkpoint))
+        data = ["--data", str(data_dir)] if command == "eval" else []
+        assert main([command, "--checkpoint", str(path), *data]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestPredictCommand:
@@ -439,3 +454,12 @@ class TestLoggingAndVersion:
             main(["--version"])
         assert info.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command", ["train", "eval", "predict", "inspect", "sweep", "gen-toy"]
+    )
+    def test_subcommand_help(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out

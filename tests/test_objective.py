@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import transgcn.autodiff as ad
-from transgcn.kg import Triple
 from transgcn.objective import (
     batch_margin_loss,
     batch_self_adv_loss,
@@ -247,58 +246,57 @@ class TestSelfAdvLoss:
         np.testing.assert_allclose(neg.grad, w * sig, rtol=1e-9)
 
 
+def ids(*values):
+    return np.asarray(values, dtype=np.int64)
+
+
 class TestSampling:
     def test_count_and_single_slot_corruption(self):
         rng = np.random.default_rng(7)
-        pos = Triple(0, 0, 1)
-        negs = sample_negatives(pos, 10, num_entities=5, rng=rng)
-        assert len(negs) == 10
-        for neg in negs:
-            changed_head = neg.head != pos.head
-            changed_tail = neg.tail != pos.tail
-            assert neg.relation == pos.relation
-            assert changed_head != changed_tail  # exactly one slot
+        heads, rels, tails = ids(0, 3, 4, 2), ids(0, 1, 2, 1), ids(1, 3, 0, 4)
+        n = 10
+        nh, nr, nt = sample_negatives(heads, rels, tails, n, num_entities=5, rng=rng)
+        assert nh.shape == nr.shape == nt.shape == (len(heads) * n,)
+        for k in range(len(heads)):
+            block = slice(k * n, (k + 1) * n)  # positive k's contiguous rows
+            changed_head = nh[block] != heads[k]
+            changed_tail = nt[block] != tails[k]
+            assert np.all(nr[block] == rels[k])
+            assert np.all(changed_head != changed_tail)  # exactly one slot
 
     def test_replacement_never_equals_original(self):
         rng = np.random.default_rng(8)
-        pos = Triple(2, 0, 2)
-        for neg in sample_negatives(pos, 500, num_entities=3, rng=rng):
-            if neg.head != pos.head:
-                assert neg.head != 2
-            else:
-                assert neg.tail != 2
+        nh, _, nt = sample_negatives(ids(2), ids(0), ids(2), 500, num_entities=3, rng=rng)
+        assert np.all((nh != 2) != (nt != 2))
+
+    def test_needs_two_entities(self):
+        with pytest.raises(ValueError):
+            sample_negatives(ids(0), ids(0), ids(0), 1, 1, np.random.default_rng(0))
 
     def test_uniformity_chi_squared(self):
         # 3 entities: cells (head->1, head->2, tail->0, tail->2), each p=1/4
         rng = np.random.default_rng(9)
-        pos = Triple(0, 0, 1)
-        counts = {(True, 1): 0, (True, 2): 0, (False, 0): 0, (False, 2): 0}
         n = 4000
-        for neg in sample_negatives(pos, n, num_entities=3, rng=rng):
-            if neg.head != pos.head:
-                counts[(True, neg.head)] += 1
-            else:
-                counts[(False, neg.tail)] += 1
+        nh, _, nt = sample_negatives(ids(0), ids(0), ids(1), n, num_entities=3, rng=rng)
+        head_side = nh != 0
+        counts = [
+            np.sum(head_side & (nh == 1)), np.sum(head_side & (nh == 2)),
+            np.sum(~head_side & (nt == 0)), np.sum(~head_side & (nt == 2)),
+        ]
+        assert sum(counts) == n
         expected = n / 4
-        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 11.345  # dof 3, p = 0.01
 
     def test_deterministic_given_seed(self):
-        pos = Triple(1, 2, 3)
-        a = sample_negatives(pos, 20, num_entities=10, rng=np.random.default_rng(42))
-        b = sample_negatives(pos, 20, num_entities=10, rng=np.random.default_rng(42))
-        assert a == b
-
-    def test_filtered_sampling_avoids_known(self):
-        rng = np.random.default_rng(10)
-        pos = Triple(0, 0, 1)
-        known = frozenset({(0, 0, 1), (1, 0, 1), (2, 0, 1), (0, 0, 0)})
-        negs = sample_negatives(pos, 50, num_entities=3, rng=rng, known=known)
-        assert all(n == Triple(0, 0, 2) for n in negs)
+        pos = ids(1, 4), ids(2, 0), ids(3, 9)
+        a = sample_negatives(*pos, 20, num_entities=10, rng=np.random.default_rng(42))
+        b = sample_negatives(*pos, 20, num_entities=10, rng=np.random.default_rng(42))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_filter_off_by_default_allows_known(self):
         rng = np.random.default_rng(11)
-        pos = Triple(0, 0, 1)
         # with only 3 entities some corruption will hit this known triple quickly
-        negs = sample_negatives(pos, 200, num_entities=3, rng=rng)
-        assert any((n.head, n.relation, n.tail) == (2, 0, 1) for n in negs)
+        nh, nr, nt = sample_negatives(ids(0), ids(0), ids(1), 200, num_entities=3, rng=rng)
+        assert np.any((nh == 2) & (nr == 0) & (nt == 1))
