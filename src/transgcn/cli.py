@@ -27,13 +27,9 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .evaluator import (
-    candidate_scores,
-    degree_bucket_report,
-    evaluate,
-    layer_sweep,
-)
-from .kg import SPLIT_FILES, Triple, build_index, known_triple_set, load_dataset, write_dataset
+from .evaluator import (KnownFilter, candidate_scores, degree_bucket_report, evaluate,
+                        layer_sweep)
+from .kg import SPLIT_FILES, Triple, build_index, load_dataset, write_dataset
 from .kinship import generate_kinship
 from .trainer import (
     CONFIG_FIELDS,
@@ -262,30 +258,15 @@ def cmd_predict(args) -> int:
     scores = candidate_scores(
         entities, relations, triple, side, config.assumption, config.norm
     )
-    known = known_triple_set(kg)
-
-    def is_known(candidate: int) -> bool:
-        if side == "tail":
-            return (fixed_id, rel_id, candidate) in known
-        return (candidate, rel_id, fixed_id) in known
-
+    blocked = np.zeros(kg.num_entities, dtype=bool)
+    blocked[KnownFilter(kg).blocked(triple, side)] = True
     order = np.argsort(-scores, kind="stable")
-    printed = 0
-    rank = 0
-    for candidate in order:
-        candidate = int(candidate)
-        flagged = is_known(candidate)
-        if flagged and not args.keep_known:
-            continue
-        rank += 1
-        if printed < args.k:
-            row = f"{kg.entity_names[candidate]}\t{scores[candidate]:.6f}\t{rank}"
-            if args.keep_known and flagged:
-                row += "\tknown"
-            print(row)
-            printed += 1
-        else:
-            break
+    flags = blocked[order]
+    if not args.keep_known:
+        order, flags = order[~flags], flags[~flags]
+    for rank, (candidate, flagged) in enumerate(zip(order[: args.k], flags), 1):
+        row = f"{kg.entity_names[candidate]}\t{scores[candidate]:.6f}\t{rank}"
+        print(row + "\tknown" if flagged else row)
     return 0
 
 

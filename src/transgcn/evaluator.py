@@ -8,6 +8,7 @@ to the pessimistic mid-rank: 1 + #higher + ceil(#tied / 2).
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,17 +56,19 @@ def candidate_scores(
     """Scores of every entity substituted into one slot of the triple."""
     h, r, t = triple
     rel = relations[r]
-    compose = np.add if assumption is Assumption.TRANSLATION else complex_product
+    compose = complex_product if Assumption(assumption) is Assumption.ROTATION else np.add
+    # the difference lives in one N×d buffer: every step after the first writes into it
     if side == "tail":
-        diff = compose(entities[h], rel) - entities
+        diff = np.subtract(compose(entities[h], rel), entities)
     elif side == "head":
-        diff = compose(entities, rel) - entities[t]
+        diff = compose(entities, rel)
+        diff -= entities[t]
     else:
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
     if norm == "l1":
-        return -np.abs(diff).sum(axis=1)
+        return -np.abs(diff, out=diff).sum(axis=1)
     if norm == "l2":
-        return -np.sqrt(np.square(diff).sum(axis=1))
+        return -np.sqrt(np.square(diff, out=diff).sum(axis=1))
     raise ValueError(f"unknown norm {norm!r}")
 
 
@@ -93,12 +96,37 @@ def filtered_rank(
     return rank_from_scores(float(scores[true_id]), scores[keep])
 
 
-def _rank_against(scores: np.ndarray, true_id: int, blocked: set[int]) -> int:
-    keep = np.ones(len(scores), dtype=bool)
-    if blocked:
-        keep[list(blocked)] = False
-    keep[true_id] = False
-    return rank_from_scores(float(scores[true_id]), scores[keep])
+class KnownFilter:
+    """Known triples as two sorted int64 key tables, one per query side.
+
+    With N entities and R relations, a known (h, r, t) has key
+    (h·R + r)·N + t in the tail table and (r·N + t)·N + h in the head table
+    (so N²·R must stay below 2**63).  A query's blocked keys are one
+    contiguous slice of a table (CSR-style), found with two binary searches.
+    ``known`` defaults to the triples of all three splits.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, known=None):
+        if known is None:
+            known = known_triple_set(kg)
+        self.n, self.r = kg.num_entities, kg.num_relations
+        if self.n * self.n * self.r >= 2**63:
+            raise ValueError(f"{self.n} entities x {self.r} relations overflow int64 keys")
+        ids = np.fromiter(itertools.chain.from_iterable(known), dtype=np.int64,
+                          count=3 * len(known)).reshape(-1, 3)
+        h, r, t = ids.T
+        self.tail_keys = np.sort((h * self.r + r) * self.n + t)
+        self.head_keys = np.sort((r * self.n + t) * self.n + h)
+
+    def blocked(self, triple: Triple, side: str) -> np.ndarray:
+        """Ids c that give a known triple when put in the ``side`` slot of ``triple``."""
+        h, r, t = triple
+        if side == "tail":
+            keys, base = self.tail_keys, (h * self.r + r) * self.n
+        else:
+            keys, base = self.head_keys, (r * self.n + t) * self.n
+        lo, hi = np.searchsorted(keys, (base, base + self.n))
+        return keys[lo:hi] - base
 
 
 def evaluate(
@@ -122,24 +150,17 @@ def evaluate(
     triples = kg.split(split)
     if not triples:
         raise ValueError(f"cannot evaluate an empty {split} split")
-    if known is None:
-        known = known_triple_set(kg)
-
-    # per-query blocked candidate ids, precomputed once
-    tails_of: dict[tuple[int, int], set[int]] = {}
-    heads_of: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in known:
-        tails_of.setdefault((h, r), set()).add(t)
-        heads_of.setdefault((r, t), set()).add(h)
+    known_filter = KnownFilter(kg, known)
 
     def rank_query(args) -> int:
         triple, side = args
         scores = candidate_scores(entities, relations, triple, side, assumption, norm)
-        if side == "tail":
-            blocked = tails_of.get((triple.head, triple.relation), set())
-            return _rank_against(scores, triple.tail, blocked)
-        blocked = heads_of.get((triple.relation, triple.tail), set())
-        return _rank_against(scores, triple.head, blocked)
+        true_id = triple.tail if side == "tail" else triple.head
+        true_score = float(scores[true_id])
+        # -inf neither beats nor ties a finite true score: these drop out of the counts
+        scores[known_filter.blocked(triple, side)] = -np.inf
+        scores[true_id] = -np.inf
+        return rank_from_scores(true_score, scores)
 
     queries = [(t, "head") for t in triples] + [(t, "tail") for t in triples]
     if threads > 1:
@@ -170,26 +191,22 @@ def degree_bucket_report(report: RankingReport, index: NeighborhoodIndex) -> lis
     Buckets have geometric edges 1, 2, 4, 8, ... plus a leading bucket for
     degree-0 entities; together they partition the queries.
     """
-    degrees, ranks = [], []
-    for triple, rank in zip(report.triples, report.head_ranks):
-        degrees.append(int(index.degree[triple.head]))
-        ranks.append(int(rank))
-    for triple, rank in zip(report.triples, report.tail_ranks):
-        degrees.append(int(index.degree[triple.tail]))
-        ranks.append(int(rank))
-    max_degree = max(degrees) if degrees else 0
+    ids = np.array(report.triples, dtype=np.int64).reshape(-1, 3)
+    degrees = index.degree[np.concatenate([ids[:, 0], ids[:, 2]])]
+    ranks = np.concatenate([report.head_ranks, report.tail_ranks])
+    max_degree = int(degrees.max()) if degrees.size else 0
     edges = [0, 1]
     while edges[-1] <= max_degree:
         edges.append(edges[-1] * 2)
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        bucket = [r for d, r in zip(degrees, ranks) if lo <= d < hi]
+        bucket = ranks[(degrees >= lo) & (degrees < hi)]
         rows.append(
             {
                 "min_degree": lo,
                 "max_degree": hi,
-                "queries": len(bucket),
-                "mrr": float(np.mean([1.0 / r for r in bucket])) if bucket else 0.0,
+                "queries": int(bucket.size),
+                "mrr": float(np.mean(1.0 / bucket)) if bucket.size else 0.0,
             }
         )
     return rows

@@ -337,21 +337,39 @@ class TestPredictCommand:
         assert len(capsys.readouterr().out.strip().splitlines()) <= 26
 
     def test_filtering_drops_known_completions(self, run_dir, data_dir, capsys):
+        # both query forms: (g2_00, child, ?) and (?, parent, g2_00)
         kg = load_dataset(data_dir)
-        known_tails = {
-            kg.entity_names[t.tail]
-            for t in kg.train + kg.valid + kg.test
-            if kg.entity_names[t.head] == "g2_00"
-            and kg.relation_names[t.relation] == "child"
-        }
-        assert known_tails, "fixture should contain child triples for g2_00"
-        code = main([
-            "predict", "--checkpoint", str(run_dir / "model.ckpt"),
-            "--data", str(data_dir), "--k", "26", "g2_00", "child", "?",
-        ])
-        assert code == 0
-        names = {row.split("\t")[0] for row in capsys.readouterr().out.strip().splitlines()}
-        assert not (names & known_tails)
+        for query in (["g2_00", "child", "?"], ["?", "parent", "g2_00"]):
+            hole = query.index("?")
+            known = set()
+            for triple in kg.train + kg.valid + kg.test:
+                names = [kg.entity_names[triple.head], kg.relation_names[triple.relation],
+                         kg.entity_names[triple.tail]]
+                if all(a == b for i, (a, b) in enumerate(zip(names, query)) if i != hole):
+                    known.add(names[hole])
+            assert known, f"fixture should contain completions of {query}"
+            code = main([
+                "predict", "--checkpoint", str(run_dir / "model.ckpt"),
+                "--data", str(data_dir), "--k", "26", *query,
+            ])
+            assert code == 0
+            rows = capsys.readouterr().out.strip().splitlines()
+            assert not ({row.split("\t")[0] for row in rows} & known)
+
+    @pytest.mark.parametrize("query", [["g2_00", "child", "?"], ["?", "parent", "g2_00"]])
+    def test_keep_known_minus_known_rows_is_filtered_list(self, run_dir, data_dir, query,
+                                                           capsys):
+        def names(*flags):
+            code = main([
+                "predict", "--checkpoint", str(run_dir / "model.ckpt"),
+                "--data", str(data_dir), "--k", "26", *flags, *query,
+            ])
+            assert code == 0
+            return [row.split("\t") for row in capsys.readouterr().out.strip().splitlines()]
+
+        kept = names("--keep-known")
+        assert any(row[-1] == "known" for row in kept)
+        assert [row[0] for row in kept if row[-1] != "known"] == [row[0] for row in names()]
 
     def test_true_completion_ranks_high_when_kept(self, good_run_dir, data_dir, capsys):
         kg = load_dataset(data_dir)

@@ -1,9 +1,12 @@
 """Filtered link-prediction protocol against an exhaustive oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from transgcn.evaluator import (
+    KnownFilter,
     RankingReport,
     candidate_scores,
     degree_bucket_report,
@@ -147,13 +150,19 @@ class TestFilteredRank:
                 if kg.num_entities > 3:
                     entities[3] = entities[2]
             relations = rng.standard_normal((kg.num_relations, d))
-            for triple in kg.test:
+            report = evaluate(kg, "test", entities, relations, assumption, norm)
+            raw = evaluate(kg, "test", entities, relations, assumption, norm,
+                           known=frozenset())
+            for i, triple in enumerate(kg.test):
                 for side in ("head", "tail"):
                     got = filtered_rank(entities, relations, triple, side, known,
                                         assumption, norm)
                     want = oracle_rank(entities, relations, triple, side, known,
                                        assumption, norm)
                     assert got == want
+                    assert getattr(report, f"{side}_ranks")[i] == want
+                    assert getattr(raw, f"{side}_ranks")[i] == oracle_rank(
+                        entities, relations, triple, side, frozenset(), assumption, norm)
 
 
 class TestCandidateScores:
@@ -163,11 +172,15 @@ class TestCandidateScores:
         relations = rng.standard_normal((2, 8))
         triple = Triple(3, 1, 5)
         for side in ("head", "tail"):
-            for assumption in (Assumption.TRANSLATION, Assumption.ROTATION):
-                vec = candidate_scores(entities, relations, triple, side, assumption, "l1")
-                for c in range(7):
-                    cand = (triple.head, 1, c) if side == "tail" else (c, 1, triple.tail)
-                    assert vec[c] == oracle_score(entities, relations, *cand, assumption, "l1")
+            # the assumption as its enum member and as its name
+            for assumption in (*Assumption, "translation", "rotation"):
+                for norm in ("l1", "l2"):
+                    vec = candidate_scores(entities, relations, triple, side, assumption,
+                                           norm)
+                    for c in range(7):
+                        cand = (triple.head, 1, c) if side == "tail" else (c, 1, triple.tail)
+                        assert vec[c] == oracle_score(entities, relations, *cand,
+                                                      Assumption(assumption), norm)
 
 
 class TestEvaluate:
@@ -228,6 +241,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(kg, "test", np.zeros((2, 4)), np.zeros((1, 4)),
                      Assumption.TRANSLATION, "l1")
+
+    def test_filter_keys_must_fit_int64(self):
+        huge = SimpleNamespace(num_entities=2**31, num_relations=2)
+        with pytest.raises(ValueError, match="overflow"):
+            KnownFilter(huge, known=frozenset())
+        KnownFilter(SimpleNamespace(num_entities=2**31, num_relations=1), known=frozenset())
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_bad_thread_count_rejected(self, threads):
