@@ -3,8 +3,10 @@
 Every value is a 2-D row-major float64 ``Tensor``.  Ops are free functions;
 while a :class:`Tape` is active (as a context manager) and any input requires
 gradients, each op appends a backward closure to the tape.  ``backward``
-walks the tape once in reverse, accumulating into ``Tensor.grad``.  Tapes are
-rebuilt every training step and are confined to a single thread.
+walks the tape once in reverse, accumulating into ``Tensor.grad``.  Leaves
+that require gradients start with a zero gradient; op results get theirs on
+the first accumulation, and ``backward`` skips results no gradient reached.
+Tapes are rebuilt every training step and are confined to a single thread.
 
 All op outputs are checked for NaN/Inf at the op boundary; leaves are
 checked at construction.
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import NumericError, ShapeError, StateError
 
 RESET_MODULUS = 1e-12  # below this a normalized complex coordinate becomes 1+0i
+NEIGHBOR_CHUNK = 256  # edges per neighbor_sum chunk; bounds its temporaries to chunk x d
 
 _tape_stack: list["Tape"] = []
 
@@ -71,7 +74,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[tuple[Tensor, object]] = []  # (output, backward closure)
-        self._on_tape: set[int] = set()
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -84,7 +86,6 @@ class Tape:
 
     def _add(self, out: Tensor, backward_fn) -> None:
         self.records.append((out, backward_fn))
-        self._on_tape.add(id(out))
 
 
 def _active_tape() -> Tape | None:
@@ -101,15 +102,19 @@ def _make_result(arr: np.ndarray, inputs: tuple[Tensor, ...], op: str, backward_
     """Wrap an op result, recording the backward closure when tracking."""
     _check_finite(arr, op)
     tape = _active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(arr, requires_grad=track)
-    if track:
+    out = Tensor(arr)
+    if tape is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True  # its gradient is allocated on first accumulation
         tape._add(out, backward_fn)
     return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g.copy()  # g may be a read-only view, or also go to another input
+    else:
         t.grad += g
 
 
@@ -156,8 +161,9 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         _accumulate(a, g * b.values)
-        gb = g * a.values
-        _accumulate(b, _reduce_broadcast(gb, b.shape) if broadcast else gb)
+        if b.requires_grad:
+            gb = g * a.values
+            _accumulate(b, _reduce_broadcast(gb, b.shape) if broadcast else gb)
 
     return _make_result(a.values * b.values, (a, b), "hadamard", backward_fn)
 
@@ -242,6 +248,8 @@ def gather_rows(m: Tensor, ids) -> Tensor:
 
     def backward_fn(g):
         if m.requires_grad:
+            if m.grad is None:
+                m.grad = np.zeros(m.shape)
             np.add.at(m.grad, ids, g)
 
     return _make_result(m.values[ids], (m,), "gather_rows", backward_fn)
@@ -261,6 +269,92 @@ def segment_sum(rows: Tensor, segment_ids, num_segments: int) -> Tensor:
         _accumulate(rows, g[seg])
 
     return _make_result(out, (rows,), "segment_sum", backward_fn)
+
+
+def _conjugated(a: np.ndarray) -> np.ndarray:
+    """Negate the imaginary half of a freshly made split-half array, in place."""
+    a[:, a.shape[1] // 2:] *= -1.0
+    return a
+
+
+def _segment_add(out: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
+    """out[k] += the sum of the rows whose key is k; ``keys`` ascend."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    out[keys[starts]] += np.add.reduceat(rows, starts, axis=0)
+
+
+def _neighbor_pass(values: np.ndarray, rel_rows: np.ndarray | None, index,
+                   rotation: bool) -> np.ndarray:
+    """Per entity, the sum of composed neighbor rows over both edge directions.
+
+    An edge h -r-> t sends values[h] ∘ r (translation: + r) to t and
+    values[t] ∘ r̄ (translation: − r) to h; with no ``rel_rows`` it sends
+    the rows unchanged.  Edges are walked in NEIGHBOR_CHUNK runs of the
+    by-tail and by-head orders, each run summed by destination.
+    """
+    out = np.zeros_like(values)
+    for order, src, dst, inverse in ((index.by_tail, index.heads, index.tails, False),
+                                     (index.by_head, index.tails, index.heads, True)):
+        for start in range(0, order.size, NEIGHBOR_CHUNK):
+            edges = order[start : start + NEIGHBOR_CHUNK]
+            rows = values[src[edges]]
+            if rel_rows is not None:
+                r = rel_rows[index.rels[edges]]
+                if rotation:
+                    rows = complex_product(rows, _conjugated(r) if inverse else r)
+                elif inverse:
+                    rows -= r
+                else:
+                    rows += r
+            _segment_add(out, dst[edges], rows)
+    return out
+
+
+def _relation_pass(g: np.ndarray, ent: np.ndarray, index, rotation: bool,
+                   shape: tuple[int, int]) -> np.ndarray:
+    """Relation gradient of neighbor_sum: edges walked in by-relation order."""
+    out = np.zeros(shape)
+    for start in range(0, index.by_rel.size, NEIGHBOR_CHUNK):
+        edges = index.by_rel[start : start + NEIGHBOR_CHUNK]
+        h, t = index.heads[edges], index.tails[edges]
+        if rotation:
+            # e_h ∘ r lands on t: g[t] ∘ ē_h; e_t ∘ r̄ lands on h: conj(g[h] ∘ ē_t)
+            rows = complex_product(g[t], _conjugated(ent[h]))
+            rows += complex_product(_conjugated(g[h]), ent[t])
+        else:
+            rows = g[t] - g[h]
+        _segment_add(out, index.rels[edges], rows)
+    return out
+
+
+def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> Tensor:
+    """Per entity, the sum of its neighbors' estimates of it over both directions.
+
+    Entity i receives entities[h] ∘ r for every train edge h -r-> i and
+    entities[t] ∘ r̄ for every edge i -r-> t (translation: + r and − r);
+    ``index`` is a ``kg.NeighborhoodIndex``.  Edges are walked in chunks and
+    summed with ``np.add.reduceat``, so no edge x d array is kept: the
+    backward recomputes each chunk's gathered rows.
+    """
+    if relations.cols != entities.cols:
+        raise ShapeError(f"neighbor_sum: relation width {relations.cols} != "
+                         f"entity width {entities.cols}")
+    if index.num_entities != entities.rows:
+        raise ShapeError(f"neighbor_sum: index covers {index.num_entities} entities, "
+                         f"got {entities.rows} rows")
+    if rotation:
+        _split(entities, "neighbor_sum")
+    ent, rel = entities.values, relations.values
+
+    def backward_fn(g):
+        if entities.requires_grad:
+            # the adjoint sends g[t] ∘ r̄ to h and g[h] ∘ r to t: the same pass over g
+            _accumulate(entities, _neighbor_pass(g, rel if rotation else None, index, rotation))
+        if relations.requires_grad:
+            _accumulate(relations, _relation_pass(g, ent, index, rotation, rel.shape))
+
+    return _make_result(_neighbor_pass(ent, rel, index, rotation), (entities, relations),
+                        "neighbor_sum", backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -362,10 +456,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ShapeError(f"backward needs a 1x1 loss, got {loss.shape}")
     if tape._consumed:
         raise StateError("backward already ran on this tape")
-    if id(loss) not in tape._on_tape:
+    # the loss is normally the last record, so this scan stops at once
+    if not any(out is loss for out, _ in reversed(tape.records)):
         raise StateError("loss is not recorded on this tape")
     tape._consumed = True
-    loss.grad += 1.0
+    _accumulate(loss, np.ones((1, 1)))
     for out, backward_fn in reversed(tape.records):
-        if out.grad is not None and out.grad.any():
+        if out.grad is not None:
             backward_fn(out.grad)

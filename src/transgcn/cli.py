@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, predict, inspect, sweep, gen-toy.
 
-Exit codes: 0 success, 2 for configuration/dataset/vocabulary problems,
-3 when training aborts on non-finite numbers.  TRANSGCN_LOG={error|info|
+Exit codes: 0 success, 2 for configuration/dataset/vocabulary problems
+and for training runs estimated to need more memory than is available, 3
+when training aborts on non-finite numbers.  TRANSGCN_LOG={error|info|
 debug} sets verbosity (default info); logs go to stderr, results to stdout.
 """
 
@@ -23,6 +24,7 @@ from .encoder import encode_arrays, materialize_relations
 from .errors import (
     CheckpointError,
     ConfigError,
+    MemoryBudgetError,
     NumericError,
     ParseError,
     ShapeError,
@@ -38,6 +40,7 @@ from .trainer import (
     TrainConfig,
     TrainingAborted,
     config_values,
+    estimate_peak_bytes,
     param_count_report,
     parse_config_value,
     train,
@@ -47,6 +50,7 @@ from .transform import Assumption
 logger = logging.getLogger("transgcn.cli")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+MEMINFO = "/proc/meminfo"
 
 # Flag spellings for the config fields that take a name; "selfadv" is the
 # accepted short form of "self-adversarial".
@@ -144,10 +148,34 @@ def _write_manifest(out: Path, data_dir: Path, config: TrainConfig) -> Path:
     return path
 
 
+def _mem_available() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes; None where it cannot be read."""
+    try:
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def _check_memory(config: TrainConfig, kg) -> None:
+    """Refuse up front a run whose estimated peak exceeds the available memory."""
+    need = estimate_peak_bytes(config, kg.num_entities, kg.num_relations, len(kg.train))
+    available = _mem_available()
+    if available is not None and need > available:
+        raise MemoryBudgetError(
+            f"training needs an estimated {need / 2**30:.2f} GiB, more than the "
+            f"{available / 2**30:.2f} GiB available; lower dim, batch or negatives"
+        )
+
+
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     kg = load_dataset(data_dir)
     config = resolve_config(args)
+    _check_memory(config, kg)
     init_state = None
     if args.init_from:
         prior = load_checkpoint(args.init_from)
@@ -305,6 +333,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--layer-counts expects integers, got {args.layer_counts!r}")
     if not counts:
         raise ConfigError("--layer-counts is empty")
+    _check_memory(config.replace(layers=max(counts)), kg)
     rows = layer_sweep(kg, config, counts, split=args.split)
     print("layers\tmrr\thits@10")
     for row in rows:

@@ -3,6 +3,10 @@
 Each layer turns every train edge into two directed estimates (incoming and
 outgoing), sums the estimates per entity, scales by 1/degree, applies the
 shared projection W0, and updates entities as relu(message + previous).
+The sums are one fused op, ``autodiff.neighbor_sum``: it walks the edges in
+fixed-size chunks, pre-sorted by destination in ``kg.build_index``, and
+reduces each chunk with ``np.add.reduceat``, so no edge x d array is kept
+for the backward pass, which recomputes each chunk's rows.
 Relations evolve through their own projection W1; under rotation the rows
 are renormalized to unit modulus afterwards.  Zero-degree entities receive
 a zero message.  With no layers, encoding returns the layer-0 embeddings
@@ -19,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
 from .kg import NeighborhoodIndex
-from .transform import Assumption, estimate_from_incoming, estimate_from_outgoing
+from .transform import Assumption
 
 
 @dataclass
@@ -113,15 +117,7 @@ def aggregate_messages(
     assumption: Assumption,
 ) -> Tensor:
     """Degree-normalized projected sum of neighborhood estimates per entity."""
-    heads = ad.gather_rows(entities, index.heads)
-    rels = ad.gather_rows(relations, index.rels)
-    tails = ad.gather_rows(entities, index.tails)
-    n = index.num_entities
-    est_in = estimate_from_incoming(heads, rels, assumption)  # lands on tails
-    est_out = estimate_from_outgoing(tails, rels, assumption)  # lands on heads
-    sums = ad.add(
-        ad.segment_sum(est_in, index.tails, n), ad.segment_sum(est_out, index.heads, n)
-    )
+    sums = ad.neighbor_sum(entities, relations, index, assumption is Assumption.ROTATION)
     inv_degree = np.where(index.degree > 0, 1.0 / np.maximum(index.degree, 1), 0.0)
     # broadcast view costs no memory; zero rows stay zero through the matmul
     scaled = ad.hadamard(sums, ad.tensor(np.broadcast_to(inv_degree[:, None], sums.shape)))

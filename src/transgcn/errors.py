@@ -25,5 +25,9 @@ class ConfigError(TransGCNError, ValueError):
     """Unknown keys or invalid values in a run configuration."""
 
 
+class MemoryBudgetError(ConfigError):
+    """A run whose estimated peak memory exceeds what the host has available."""
+
+
 class CheckpointError(TransGCNError, ValueError):
     """Corrupted checkpoint data or mismatched vocabularies."""

@@ -157,20 +157,34 @@ class NeighborhoodIndex:
     """Train-split adjacency used by the encoder.
 
     The flat ``heads``/``rels``/``tails`` arrays mirror the train split in
-    file order for vectorized message passing: edge k runs from
-    ``heads[k]`` to ``tails[k]`` under relation ``rels[k]``.  ``degree[i]``
-    counts the edges that end at entity i plus those that start there (a
-    self-loop counts twice).
+    file order: edge k runs from ``heads[k]`` to ``tails[k]`` under relation
+    ``rels[k]``.  ``by_tail``, ``by_head`` and ``by_rel`` are stable
+    permutations of the edge ids sorted by that key; ``tail_offsets[i]`` and
+    ``head_offsets[i]`` (length entities + 1) are where entity i's run starts
+    in the by-tail and by-head orders.  ``degree[i]`` counts the edges that
+    end at entity i plus those that start there (a self-loop counts twice).
     """
 
     degree: np.ndarray
     heads: np.ndarray = field(repr=False)
     rels: np.ndarray = field(repr=False)
     tails: np.ndarray = field(repr=False)
+    by_tail: np.ndarray = field(repr=False)
+    tail_offsets: np.ndarray = field(repr=False)
+    by_head: np.ndarray = field(repr=False)
+    head_offsets: np.ndarray = field(repr=False)
+    by_rel: np.ndarray = field(repr=False)
 
     @property
     def num_entities(self) -> int:
         return len(self.degree)
+
+
+def _sorted_by(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable permutation sorting ``key``, and each key's run offset (size + 1)."""
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=size), out=offsets[1:])
+    return np.argsort(key, kind="stable"), offsets
 
 
 def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
@@ -179,9 +193,15 @@ def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
     heads = np.fromiter((t.head for t in kg.train), dtype=np.int64, count=n)
     rels = np.fromiter((t.relation for t in kg.train), dtype=np.int64, count=n)
     tails = np.fromiter((t.tail for t in kg.train), dtype=np.int64, count=n)
-    degree = (np.bincount(heads, minlength=kg.num_entities)
-              + np.bincount(tails, minlength=kg.num_entities))
-    return NeighborhoodIndex(degree=degree, heads=heads, rels=rels, tails=tails)
+    by_tail, tail_offsets = _sorted_by(tails, kg.num_entities)
+    by_head, head_offsets = _sorted_by(heads, kg.num_entities)
+    return NeighborhoodIndex(
+        degree=np.diff(tail_offsets) + np.diff(head_offsets),
+        heads=heads, rels=rels, tails=tails,
+        by_tail=by_tail, tail_offsets=tail_offsets,
+        by_head=by_head, head_offsets=head_offsets,
+        by_rel=np.argsort(rels, kind="stable"),
+    )
 
 
 def known_triple_set(kg: KnowledgeGraph) -> frozenset[tuple[int, int, int]]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import transgcn.autodiff as ad
 from transgcn.errors import NumericError, ShapeError, StateError
+from transgcn.kg import build_graph, build_index
 
 
 def fd_gradients(build, arrays, h=1e-6):
@@ -168,6 +169,30 @@ class TestRecording:
         with ad.Tape() as tape:
             ad.sum_all(ad.relu(ad.scale(a, 2.0)))
         assert len(tape.records) == 3
+
+    def test_result_gradients_allocated_on_first_use(self):
+        a = ad.tensor([[1.0, -2.0]], requires_grad=True)
+        with ad.Tape() as tape:
+            scaled = ad.scale(a, 2.0)
+            unused = ad.relu(a)
+            loss = ad.sum_all(scaled)
+        assert scaled.grad is None and loss.grad is None
+        ad.backward(tape, loss)
+        np.testing.assert_array_equal(scaled.grad, [[1.0, 1.0]])
+        assert unused.grad is None  # never reached by the loss
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0]])
+
+    def test_shared_gradient_is_not_aliased(self):
+        # add hands one gradient array to both inputs; each must own a copy
+        a = ad.tensor([[1.0]], requires_grad=True)
+        with ad.Tape() as tape:
+            x, y = ad.scale(a, 1.0), ad.scale(a, 1.0)
+            s = ad.add(x, y)
+            loss = ad.sum_all(ad.add(ad.scale(x, 3.0), s))
+        ad.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [[4.0]])
+        np.testing.assert_array_equal(y.grad, [[1.0]])
+        np.testing.assert_array_equal(a.grad, [[5.0]])
 
 
 class TestBackwardRules:
@@ -378,6 +403,15 @@ class TestErrors:
             with pytest.raises(StateError):
                 ad.backward(tape, ad.tensor([[1.0]]))
 
+    def test_loss_from_another_tape_rejected(self):
+        x = ad.tensor([[1.0]], requires_grad=True)
+        with ad.Tape():
+            other = ad.sum_all(x)
+        with ad.Tape() as tape:
+            ad.sum_all(ad.scale(x, 2.0))
+        with pytest.raises(StateError):
+            ad.backward(tape, other)
+
 
 class TestProperties:
     @given(st.integers(0, 2**32 - 1))
@@ -416,3 +450,122 @@ class TestProperties:
         np.testing.assert_allclose(
             mod, np.hypot(a[:, :k], a[:, k:]) * np.hypot(b[:, :k], b[:, k:]), rtol=1e-9, atol=1e-12
         )
+
+
+def neighbor_graph():
+    """Edges (file order) with a duplicated edge, a self-loop, entity e5 of
+    degree 0 (it appears only in the test split), and six edges ending at e0
+    so that e0's by-tail run spans chunks of four edges."""
+    train = [
+        ("e1", "r0", "e0"), ("e2", "r1", "e0"), ("e1", "r0", "e0"), ("e3", "r2", "e0"),
+        ("e2", "r2", "e2"), ("e4", "r1", "e0"), ("e0", "r0", "e3"), ("e3", "r1", "e0"),
+        ("e4", "r2", "e1"), ("e2", "r0", "e1"),
+    ]
+    kg = build_graph(train, [], [("e5", "r0", "e1")])
+    return kg, build_index(kg)
+
+
+def unfused_neighbor_sum(entities, relations, index, rotation):
+    """Reference composition: per-edge gathers, compose, segment sums."""
+    heads = ad.gather_rows(entities, index.heads)
+    rels = ad.gather_rows(relations, index.rels)
+    tails = ad.gather_rows(entities, index.tails)
+    if rotation:
+        est_in = ad.complex_hadamard(heads, rels)
+        est_out = ad.complex_hadamard(tails, ad.complex_conjugate(rels))
+    else:
+        est_in, est_out = ad.add(heads, rels), ad.sub(tails, rels)
+    n = index.num_entities
+    return ad.add(ad.segment_sum(est_in, index.tails, n), ad.segment_sum(est_out, index.heads, n))
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(ad, "NEIGHBOR_CHUNK", 4)
+
+
+class TestNeighborSum:
+    def test_a_run_spans_chunks(self):
+        kg, index = neighbor_graph()
+        ends = index.tails[index.by_tail]
+        # e0's six incoming edges cross the boundary between chunks of four
+        run = np.flatnonzero(ends == kg.entity_names.index("e0"))
+        assert run.size == 6 and run[0] // 4 != run[-1] // 4
+
+    @pytest.mark.parametrize("rotation", [False, True])
+    def test_gradients_match_finite_differences(self, rotation, small_chunks):
+        kg, index = neighbor_graph()
+        rng = np.random.default_rng(12)
+        ent = rng.standard_normal((kg.num_entities, 4))
+        rel = rng.standard_normal((kg.num_relations, 4))
+        check_op_gradients(
+            lambda v: weighted_sum(ad.neighbor_sum(v[0], v[1], index, rotation),
+                                   np.random.default_rng(13)),
+            [ent, rel],
+        )
+
+    @pytest.mark.parametrize("rotation", [False, True])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_equals_unfused_composition(self, rotation, chunked, monkeypatch):
+        if chunked:
+            monkeypatch.setattr(ad, "NEIGHBOR_CHUNK", 3)
+        rng = np.random.default_rng(5)
+        rows = [(f"e{rng.integers(40)}", f"r{rng.integers(5)}", f"e{rng.integers(40)}")
+                for _ in range(300)]
+        kg = build_graph(rows, [], [])
+        index = build_index(kg)
+        ent = rng.standard_normal((kg.num_entities, 6))
+        rel = rng.standard_normal((kg.num_relations, 6))
+        w = rng.standard_normal((kg.num_entities, 6))
+        results = []
+        for op in (ad.neighbor_sum, unfused_neighbor_sum):
+            e, r = ad.tensor(ent, requires_grad=True), ad.tensor(rel, requires_grad=True)
+            with ad.Tape() as tape:
+                out = op(e, r, index, rotation)
+                loss = ad.sum_all(ad.hadamard(out, ad.tensor(w)))
+            ad.backward(tape, loss)
+            results.append((out.values, e.grad, r.grad))
+        for fused, unfused in zip(*results):
+            np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rotation", [False, True])
+    def test_degree_zero_self_loop_and_duplicate(self, rotation, small_chunks):
+        kg, index = neighbor_graph()
+        rng = np.random.default_rng(3)
+        ent = rng.standard_normal((kg.num_entities, 4))
+        rel = rng.standard_normal((kg.num_relations, 4))
+        out = ad.neighbor_sum(ad.tensor(ent), ad.tensor(rel), index, rotation).values
+        e = {name: i for i, name in enumerate(kg.entity_names)}
+        r = {name: i for i, name in enumerate(kg.relation_names)}
+
+        def compose(v, rr, inverse):
+            if not rotation:
+                return v - rr if inverse else v + rr
+            z = (v[:2] + 1j * v[2:]) * (np.conj(rr[:2] + 1j * rr[2:]) if inverse
+                                        else rr[:2] + 1j * rr[2:])
+            return np.concatenate([z.real, z.imag])
+
+        np.testing.assert_array_equal(out[e["e5"]], np.zeros(4))
+        # e2: a self-loop under r2 (both directions) plus two outgoing edges
+        want = (compose(ent[e["e2"]], rel[r["r2"]], False)
+                + compose(ent[e["e2"]], rel[r["r2"]], True)
+                + compose(ent[e["e0"]], rel[r["r1"]], True)
+                + compose(ent[e["e1"]], rel[r["r0"]], True))
+        np.testing.assert_allclose(out[e["e2"]], want, atol=1e-12)
+        # e1 -r0-> e0 appears twice and counts twice, toward e0 and toward e1
+        parts = [compose(ent[e[h]], rel[r[rr]], False)
+                 for h, rr in (("e1", "r0"), ("e2", "r1"), ("e1", "r0"), ("e3", "r2"),
+                               ("e4", "r1"), ("e3", "r1"))]
+        parts.append(compose(ent[e["e3"]], rel[r["r0"]], True))
+        np.testing.assert_allclose(out[e["e0"]], np.sum(parts, axis=0), atol=1e-12)
+
+    def test_shape_errors(self):
+        kg, index = neighbor_graph()
+        ent = ad.tensor(np.ones((kg.num_entities, 4)))
+        with pytest.raises(ShapeError):
+            ad.neighbor_sum(ent, ad.tensor(np.ones((kg.num_relations, 2))), index, False)
+        with pytest.raises(ShapeError):
+            ad.neighbor_sum(ad.tensor(np.ones((2, 4))), ad.tensor(np.ones((3, 4))), index, False)
+        odd = ad.tensor(np.ones((kg.num_entities, 3)))
+        with pytest.raises(ShapeError):
+            ad.neighbor_sum(odd, ad.tensor(np.ones((kg.num_relations, 3))), index, True)

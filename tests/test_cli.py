@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from transgcn import __version__
+from transgcn import __version__, cli
 from transgcn.checkpoint import from_bytes, load_checkpoint, to_bytes
 from transgcn.cli import build_parser, main, resolve_config
+from transgcn.errors import MemoryBudgetError
 from transgcn.kg import load_dataset
 from transgcn.trainer import Checkpoint, TrainConfig, init_parameters
 
@@ -176,6 +177,45 @@ NON_DEFAULT_CONFIG = {
     "negatives": "3", "lr": "0.0125", "epochs": "7", "batch": "17", "eval_every": "3",
     "seed": "11", "norm": "l2", "sampling": "selfadv", "pretrain_epochs": "2", "clip": "2.5",
 }
+
+
+class TestMemoryPreflight:
+    TRAIN = ["--assumption", "translation", "--dim", "8", "--epochs", "1", "--batch", "64"]
+
+    @pytest.fixture
+    def meminfo(self, tmp_path, monkeypatch):
+        path = tmp_path / "meminfo"
+        monkeypatch.setattr(cli, "MEMINFO", str(path))
+        return path
+
+    def test_train_refused_when_estimate_exceeds_available(self, meminfo, tmp_path,
+                                                           data_dir, capsys):
+        meminfo.write_text("MemTotal:       1000 kB\nMemAvailable:      16 kB\n")
+        out = tmp_path / "refused"
+        code = main(["train", "--data", str(data_dir), "--out", str(out)] + self.TRAIN)
+        assert code == 2
+        assert "estimated" in capsys.readouterr().err
+        assert not out.exists()  # refused before writing anything
+
+    def test_sweep_refused_when_estimate_exceeds_available(self, meminfo, data_dir, capsys):
+        meminfo.write_text("MemAvailable:      16 kB\n")
+        code = main(["sweep", "--data", str(data_dir), "--layer-counts", "0,2"] + self.TRAIN)
+        assert code == 2
+        assert "estimated" in capsys.readouterr().err
+
+    def test_check_skipped_without_meminfo(self, meminfo, tmp_path, data_dir):
+        assert not meminfo.exists()
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "run")]
+                    + self.TRAIN)
+        assert code == 0
+
+    def test_named_error(self, meminfo, data_dir):
+        meminfo.write_text("MemAvailable:      16 kB\n")
+        kg = load_dataset(data_dir)
+        with pytest.raises(MemoryBudgetError):
+            cli._check_memory(TrainConfig(dim=8), kg)
+        meminfo.write_text(f"MemAvailable: {1 << 30} kB\n")
+        cli._check_memory(TrainConfig(dim=8), kg)
 
 
 class TestConfigSurface:

@@ -225,6 +225,35 @@ class TestNeighborhoodIndex:
         assert index.rels.tolist() == [t.relation for t in kg.train]
         assert index.tails.tolist() == [t.tail for t in kg.train]
 
+    def test_sorted_orders_and_offsets(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            rows = [
+                (f"e{rng.integers(25)}", f"r{rng.integers(4)}", f"e{rng.integers(25)}")
+                for _ in range(int(rng.integers(1, 150)))
+            ]
+            kg = build_graph(rows, [], [("x", "r0", "y")])  # x, y have degree 0
+            index = build_index(kg)
+            assert index.heads.tolist() == [t.head for t in kg.train]
+            assert index.rels.tolist() == [t.relation for t in kg.train]
+            assert index.tails.tolist() == [t.tail for t in kg.train]
+            n = kg.num_entities
+            for perm, key, offsets in ((index.by_tail, index.tails, index.tail_offsets),
+                                       (index.by_head, index.heads, index.head_offsets),
+                                       (index.by_rel, index.rels, None)):
+                assert sorted(perm.tolist()) == list(range(len(kg.train)))
+                keys = key[perm]
+                assert np.all(np.diff(keys) >= 0)
+                # stable: file order within each key's run
+                assert np.all(np.diff(perm)[np.diff(keys) == 0] > 0)
+                if offsets is not None:
+                    assert offsets.tolist() == np.searchsorted(keys, np.arange(n + 1)).tolist()
+            assert np.array_equal(
+                np.diff(index.tail_offsets) + np.diff(index.head_offsets), index.degree)
+            assert np.array_equal(
+                index.degree,
+                np.bincount(index.heads, minlength=n) + np.bincount(index.tails, minlength=n))
+
 
 class TestKnownTripleSet:
     def test_membership_across_splits(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from transgcn.trainer import (
     TrainConfig,
     TrainingAborted,
     adam_step,
+    estimate_peak_bytes,
     init_parameters,
     param_count_report,
     train,
@@ -437,3 +439,31 @@ class TestParamCountReport:
     def test_basis_count_validated(self):
         with pytest.raises(ValueError):
             param_count_report(TrainConfig(dim=8), 10, 2, rgcn_basis_B=0)
+
+
+@pytest.mark.parametrize("shape", [
+    dict(entities=300, edges=3000, assumption="rotation", dim=32, layers=1, batch=256,
+         negatives=4),
+    dict(entities=600, edges=6000, assumption="translation", dim=64, layers=2, batch=512,
+         negatives=8),
+])
+def test_peak_estimate_bounds_measured_peak(shape):
+    shape = dict(shape)
+    n, edges = shape.pop("entities"), shape.pop("edges")
+    rng = np.random.default_rng(edges)
+
+    def rows(count):
+        ids = zip(rng.integers(n, size=count), rng.integers(10, size=count),
+                  rng.integers(n, size=count))
+        return [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in ids]
+
+    kg = build_graph(rows(edges), rows(60), rows(60))
+    config = TrainConfig(epochs=1, seed=0, **shape)
+    tracemalloc.start()
+    try:
+        train(kg, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = estimate_peak_bytes(config, kg.num_entities, kg.num_relations, len(kg.train))
+    assert peak <= estimate < 4 * peak, (peak, estimate)
