@@ -12,10 +12,11 @@ from .errors import (
     ShapeError,
     TransGCNError,
 )
-from .evaluator import RankingReport, degree_bucket_report, evaluate, layer_sweep
+from .evaluator import RankingReport, degree_bucket_report, evaluate
 from .kg import KnowledgeGraph, Triple, build_graph, build_index, known_triple_set, load_dataset
 from .kinship import generate_kinship
-from .trainer import Checkpoint, TrainConfig, TrainingAborted, param_count_report, train
+from .trainer import (Checkpoint, TrainConfig, TrainingAborted, layer_sweep,
+                      param_count_report, train)
 
 __all__ = [
     "Assumption",

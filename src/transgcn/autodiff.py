@@ -212,16 +212,13 @@ def complex_hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Tape-aware complex_product of two equal-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"complex_hadamard: shapes {a.shape} and {b.shape} differ")
-    k = _split(a, "complex_hadamard")
-    ar, ai = a.values[:, :k], a.values[:, k:]
-    br, bi = b.values[:, :k], b.values[:, k:]
+    _split(a, "complex_hadamard")
     out = complex_product(a.values, b.values)
 
     def backward_fn(g):
-        gr, gi = g[:, :k], g[:, k:]
         # d/da = g * conj(b), d/db = g * conj(a)
-        _accumulate(a, np.concatenate([gr * br + gi * bi, -gr * bi + gi * br], axis=1))
-        _accumulate(b, np.concatenate([gr * ar + gi * ai, -gr * ai + gi * ar], axis=1))
+        _accumulate(a, complex_product(g, _conjugated(b.values.copy())))
+        _accumulate(b, complex_product(g, _conjugated(a.values.copy())))
 
     return _make_result(out, (a, b), "complex_hadamard", backward_fn)
 

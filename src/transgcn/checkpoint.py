@@ -15,7 +15,9 @@ Layout, all integers little-endian:
     adam moments          m then v per parameter, same order and encoding
 
 Config values are written in their str() form (repr() for floats), which
-round-trips exactly, so save -> load -> save reproduces identical bytes.
+round-trips exactly, so save -> load -> save reproduces identical bytes.  The
+config block is read with the grammar of ``--config`` files
+(``trainer.config_from_text``) and must name every field.
 """
 
 from __future__ import annotations
@@ -31,61 +33,20 @@ from .trainer import (
     CONFIG_FIELDS,
     Checkpoint,
     TrainConfig,
+    config_from_text,
     config_values,
-    parse_config_value,
 )
 
 MAGIC = b"TGCNCKPT"
 
 
-def _config_text(config: TrainConfig) -> str:
-    return "".join(f"{key}={value}\n" for key, value in config_values(config).items())
+def _text(s: str) -> bytes:
+    data = s.encode("utf-8")
+    return struct.pack("<Q", len(data)) + data
 
 
-def _parse_config(text: str) -> TrainConfig:
-    kwargs = {}
-    try:
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or key not in CONFIG_FIELDS:
-                raise CheckpointError(f"unrecognized config line {line!r}")
-            kwargs[key] = parse_config_value(key, value)
-        missing = CONFIG_FIELDS.keys() - kwargs.keys()
-        if missing:
-            raise CheckpointError(f"config block missing fields: {sorted(missing)}")
-        return TrainConfig(**kwargs)
-    except ConfigError as err:
-        raise CheckpointError(f"stored config is invalid: {err}") from err
-
-
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
-
-    def raw(self, data: bytes) -> None:
-        self.parts.append(data)
-
-    def u32(self, n: int) -> None:
-        self.raw(struct.pack("<I", n))
-
-    def u64(self, n: int) -> None:
-        self.raw(struct.pack("<Q", n))
-
-    def f64(self, x: float) -> None:
-        self.raw(struct.pack("<d", x))
-
-    def text(self, s: str) -> None:
-        data = s.encode("utf-8")
-        self.u64(len(data))
-        self.raw(data)
-
-    def array(self, arr: np.ndarray) -> None:
-        rows, cols = arr.shape
-        self.u64(rows)
-        self.u64(cols)
-        self.raw(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _array(arr: np.ndarray) -> bytes:
+    return struct.pack("<QQ", *arr.shape) + np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 class _Reader:
@@ -100,62 +61,54 @@ class _Reader:
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        """The little-endian fields of struct format ``fmt``, e.g. "QQ"."""
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self) -> str:
-        return self.take(self.u64()).decode("utf-8")
+        return self.take(self.unpack("Q")[0]).decode("utf-8")
 
     def array(self) -> np.ndarray:
-        rows = self.u64()
-        cols = self.u64()
+        rows, cols = self.unpack("QQ")
         buf = self.take(rows * cols * 8)
         return np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
 
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise CheckpointError("trailing data after checkpoint payload")
-
 
 def to_bytes(checkpoint: Checkpoint) -> bytes:
-    w = _Writer()
-    w.raw(MAGIC)
-    w.u32(checkpoint.version)
-    w.text(_config_text(checkpoint.config))
+    config = "".join(f"{k}={v}\n" for k, v in config_values(checkpoint.config).items())
+    parts = [MAGIC, struct.pack("<I", checkpoint.version), _text(config)]
     for table in (checkpoint.entity_names, checkpoint.relation_names):
-        w.u64(len(table))
-        for name in table:
-            w.text(name)
-    w.f64(checkpoint.best_valid_mrr)
-    w.u64(checkpoint.epoch)
+        parts.append(struct.pack("<Q", len(table)))
+        parts.extend(map(_text, table))
+    parts.append(struct.pack("<dQ", checkpoint.best_valid_mrr, checkpoint.epoch))
     params = checkpoint.state.parameters()
-    for tensor in params.values():
-        w.array(tensor.values)
-    w.u64(checkpoint.adam_step)
+    parts.extend(_array(tensor.values) for tensor in params.values())
+    parts.append(struct.pack("<Q", checkpoint.adam_step))
     for name, tensor in params.items():
-        w.array(checkpoint.adam_m.get(name, np.zeros_like(tensor.values)))
-        w.array(checkpoint.adam_v.get(name, np.zeros_like(tensor.values)))
-    return b"".join(w.parts)
+        for moments in (checkpoint.adam_m, checkpoint.adam_v):
+            parts.append(_array(moments.get(name, np.zeros_like(tensor.values))))
+    return b"".join(parts)
 
 
 def from_bytes(data: bytes) -> Checkpoint:
     r = _Reader(data)
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError("bad checkpoint header")
-    version = r.u32()
+    (version,) = r.unpack("I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    config = _parse_config(r.text())
-    entity_names = [r.text() for _ in range(r.u64())]
-    relation_names = [r.text() for _ in range(r.u64())]
-    best_valid_mrr = r.f64()
-    epoch = r.u64()
+    try:
+        values = config_from_text(r.text(), "config block")
+        missing = CONFIG_FIELDS.keys() - values.keys()
+        if missing:
+            raise CheckpointError(f"config block missing fields: {sorted(missing)}")
+        config = TrainConfig(**values)
+    except ConfigError as err:
+        raise CheckpointError(f"stored config is invalid: {err}") from err
+    entity_names = [r.text() for _ in range(r.unpack("Q")[0])]
+    relation_names = [r.text() for _ in range(r.unpack("Q")[0])]
+    best_valid_mrr, epoch = r.unpack("dQ")
     arrays = [r.array() for _ in range(2 + 2 * config.layers)]
     try:
         state = ModelState.from_arrays(config.assumption, arrays)
@@ -176,7 +129,7 @@ def from_bytes(data: bytes) -> Checkpoint:
         state.validate()
     except ShapeError as err:
         raise CheckpointError(f"inconsistent checkpoint arrays: {err}") from err
-    adam_step = r.u64()
+    (adam_step,) = r.unpack("Q")
     adam_m, adam_v = {}, {}
     for name, tensor in state.parameters().items():
         m = r.array()
@@ -184,7 +137,8 @@ def from_bytes(data: bytes) -> Checkpoint:
         if m.shape != tensor.values.shape or v.shape != tensor.values.shape:
             raise CheckpointError(f"adam moments for {name} have the wrong shape")
         adam_m[name], adam_v[name] = m, v
-    r.done()
+    if r.pos != len(data):
+        raise CheckpointError("trailing data after checkpoint payload")
     return Checkpoint(
         config=config,
         state=state,

@@ -29,8 +29,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .evaluator import (KnownFilter, candidate_scores, degree_bucket_report, evaluate,
-                        layer_sweep)
+from .evaluator import KnownFilter, candidate_scores, degree_bucket_report, evaluate
 from .kg import SPLIT_FILES, Triple, build_index, load_dataset, write_dataset
 from .kinship import generate_kinship
 from .trainer import (
@@ -39,10 +38,11 @@ from .trainer import (
     SAMPLING_MODES,
     TrainConfig,
     TrainingAborted,
+    config_from_text,
     config_values,
     estimate_peak_bytes,
+    layer_sweep,
     param_count_report,
-    parse_config_value,
     train,
 )
 from .transform import Assumption
@@ -82,24 +82,12 @@ def configure_logging() -> None:
 
 
 def read_config_file(path) -> dict:
-    """Field values from flat `key = value` lines; `#` starts a comment."""
-    values = {}
+    """Field values of a ``--config`` file (grammar: ``config_from_text``)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key = key.strip()
-        if key not in CONFIG_FIELDS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = parse_config_value(key, value.strip())
-    return values
+    return config_from_text(text, str(path))
 
 
 def resolve_config(args) -> TrainConfig:
@@ -171,6 +159,19 @@ def _check_memory(config: TrainConfig, kg) -> None:
         )
 
 
+def _check_vocabulary(checkpoint, kg) -> None:
+    """Refuse a checkpoint whose entity or relation names differ from the dataset's."""
+    for kind, ours, theirs in (
+        ("entities", kg.entity_names, checkpoint.entity_names),
+        ("relations", kg.relation_names, checkpoint.relation_names),
+    ):
+        if ours != theirs:
+            raise ConfigError(
+                f"vocabulary mismatch: dataset has {len(ours)} {kind}, "
+                f"checkpoint has {len(theirs)} (or ordering differs)"
+            )
+
+
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     kg = load_dataset(data_dir)
@@ -179,11 +180,7 @@ def cmd_train(args) -> int:
     init_state = None
     if args.init_from:
         prior = load_checkpoint(args.init_from)
-        if (prior.entity_names != kg.entity_names
-                or prior.relation_names != kg.relation_names):
-            raise ConfigError(
-                "warm-start checkpoint vocabulary does not match the dataset"
-            )
+        _check_vocabulary(prior, kg)
         init_state = prior.state
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,16 +211,7 @@ def cmd_train(args) -> int:
 def _load_matching(args):
     checkpoint = load_checkpoint(args.checkpoint)
     kg = load_dataset(args.data)
-    if kg.entity_names != checkpoint.entity_names:
-        raise ConfigError(
-            f"vocabulary mismatch: dataset has {kg.num_entities} entities, "
-            f"checkpoint has {len(checkpoint.entity_names)} (or ordering differs)"
-        )
-    if kg.relation_names != checkpoint.relation_names:
-        raise ConfigError(
-            f"vocabulary mismatch: dataset has {kg.num_relations} relations, "
-            f"checkpoint has {len(checkpoint.relation_names)} (or ordering differs)"
-        )
+    _check_vocabulary(checkpoint, kg)
     return checkpoint, kg
 
 

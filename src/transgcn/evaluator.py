@@ -211,19 +211,3 @@ def degree_bucket_report(report: RankingReport, index: NeighborhoodIndex) -> lis
         )
     return rows
 
-
-def layer_sweep(kg: KnowledgeGraph, config, layer_counts, split: str = "test") -> list[dict]:
-    """Train one model per layer count (shared seed/config) and compare."""
-    from .trainer import train  # local import breaks the module cycle
-    from .encoder import encode_arrays
-    from .kg import build_index
-
-    index = build_index(kg)
-    rows = []
-    for layers in layer_counts:
-        cfg = config.replace(layers=int(layers))
-        checkpoint = train(kg, cfg)
-        entities, relations = encode_arrays(checkpoint.state, index)
-        report = evaluate(kg, split, entities, relations, cfg.assumption, cfg.norm)
-        rows.append({"layers": int(layers), "mrr": report.mrr, "hits10": report.hits10})
-    return rows

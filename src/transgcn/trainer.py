@@ -127,12 +127,29 @@ CONFIG_FIELDS: dict[str, type] = {
 }
 
 
-def parse_config_value(name: str, text: str):
-    """Value of config field ``name`` from its text form."""
-    try:
-        return CONFIG_FIELDS[name](text)
-    except ValueError:
-        raise ConfigError(f"config key {name!r} has a bad value {text!r}") from None
+def config_from_text(text: str, where: str) -> dict:
+    """Field values from flat `key = value` lines; `#` starts a comment.
+
+    The one grammar of config text: ``--config`` files and the checkpoint
+    config block.  Errors name ``where:line``.
+    """
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ConfigError(f"{where}:{lineno}: expected key = value, got {raw!r}")
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"{where}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = CONFIG_FIELDS[key](value)
+        except ValueError:
+            raise ConfigError(
+                f"{where}:{lineno}: config key {key!r} has a bad value {value!r}"
+            ) from None
+    return values
 
 
 def config_values(config: TrainConfig) -> dict:
@@ -246,29 +263,6 @@ def estimate_peak_bytes(
     return 8 * words
 
 
-def _snapshot(
-    config: TrainConfig,
-    kg: KnowledgeGraph,
-    state: ModelState,
-    mrr: float,
-    epoch: int,
-    step: int,
-    adam_m: dict[str, np.ndarray],
-    adam_v: dict[str, np.ndarray],
-) -> Checkpoint:
-    return Checkpoint(
-        config=config,
-        state=_copy_state(state),
-        entity_names=list(kg.entity_names),
-        relation_names=list(kg.relation_names),
-        best_valid_mrr=mrr,
-        epoch=epoch,
-        adam_step=step,
-        adam_m={k: m.copy() for k, m in adam_m.items()},
-        adam_v={k: v.copy() for k, v in adam_v.items()},
-    )
-
-
 def train(
     kg: KnowledgeGraph, config: TrainConfig, init_state: ModelState | None = None
 ) -> Checkpoint:
@@ -306,6 +300,20 @@ def train(
     adam_m = {k: np.zeros_like(p.values) for k, p in params.items()}
     adam_v = {k: np.zeros_like(p.values) for k, p in params.items()}
     step = 0
+
+    def snapshot(mrr: float, epoch: int) -> Checkpoint:
+        return Checkpoint(
+            config=config,
+            state=_copy_state(state),
+            entity_names=list(kg.entity_names),
+            relation_names=list(kg.relation_names),
+            best_valid_mrr=mrr,
+            epoch=epoch,
+            adam_step=step,
+            adam_m={k: m.copy() for k, m in adam_m.items()},
+            adam_v={k: v.copy() for k, v in adam_v.items()},
+        )
+
     pretrain_end = min(config.pretrain_epochs, config.epochs)
     has_valid = bool(kg.valid)
     best: Checkpoint | None = None
@@ -371,20 +379,32 @@ def train(
                 ).mrr
                 logger.info("%d\t%.6f\t%.6f", epoch, mean_loss, mrr)
                 if best is None or mrr > best.best_valid_mrr:
-                    best = _snapshot(config, kg, state, mrr, epoch, step, adam_m, adam_v)
+                    best = snapshot(mrr, epoch)
             else:
                 logger.info("%d\t%.6f", epoch, mean_loss)
     except NumericError as err:
-        fallback = best if best is not None else _snapshot(
-            config, kg, state, float("nan"), max(epoch - 1, 0), step, adam_m, adam_v
-        )
+        fallback = best if best is not None else snapshot(float("nan"), max(epoch - 1, 0))
         logger.error("aborting at epoch %d: %s", epoch, err)
         raise TrainingAborted(
             f"training diverged at epoch {epoch}: {err}", fallback
         ) from err
     if best is None:
-        best = _snapshot(config, kg, state, float("nan"), config.epochs, step, adam_m, adam_v)
+        best = snapshot(float("nan"), config.epochs)
     return best
+
+
+def layer_sweep(kg: KnowledgeGraph, config: TrainConfig, layer_counts,
+                split: str = "test") -> list[dict]:
+    """Train one model per layer count (shared seed/config) and compare."""
+    index = build_index(kg)
+    rows = []
+    for layers in layer_counts:
+        cfg = config.replace(layers=int(layers))
+        checkpoint = train(kg, cfg)
+        entities, relations = encode_arrays(checkpoint.state, index)
+        report = evaluate(kg, split, entities, relations, cfg.assumption, cfg.norm)
+        rows.append({"layers": int(layers), "mrr": report.mrr, "hits10": report.hits10})
+    return rows
 
 
 def param_count_report(

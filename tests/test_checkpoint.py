@@ -23,6 +23,15 @@ from transgcn.trainer import TrainConfig, train
 
 
 GOLDEN_V1 = Path(__file__).parent / "data" / "golden_v1.ckpt"
+CONFIG_START = len(MAGIC) + 4  # the config block follows the magic and the u32 version
+
+
+def edit_config_block(data: bytes, edit) -> bytes:
+    """``data`` with its config block text replaced by ``edit(text)``."""
+    (length,) = struct.unpack_from("<Q", data, CONFIG_START)
+    start = CONFIG_START + 8
+    text = edit(data[start : start + length].decode("utf-8")).encode("utf-8")
+    return data[:CONFIG_START] + struct.pack("<Q", len(text)) + text + data[start + length :]
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +168,30 @@ class TestCorruption:
         broken = dataclasses.replace(trained, adam_m=bad_m)
         with pytest.raises(CheckpointError, match="moments"):
             from_bytes(to_bytes(broken))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text + "bogus=1\n", r"config block:16: unknown config key 'bogus'"),
+            (lambda text: text.replace("clip=10.0\n", ""), r"missing fields: \['clip'\]"),
+            (lambda text: text.replace("dim=8", "dim=eight"), r"config block:3: .*bad value"),
+            (lambda text: text.replace("lr=0.003", "lr=0.0"), "lr must be finite"),
+            (lambda text: text.replace("seed=13", "seed 13"), r"config block:11: expected key"),
+        ],
+        ids=["unknown-key", "missing-field", "unparseable-value", "invalid-value",
+             "no-equals"],
+    )
+    def test_bad_config_block(self, trained, edit, message):
+        data = edit_config_block(to_bytes(trained), edit)
+        with pytest.raises(CheckpointError, match=message):
+            from_bytes(data)
+
+    def test_config_block_uses_config_file_grammar(self, trained):
+        data = to_bytes(trained)
+        commented = edit_config_block(
+            data, lambda text: "# resolved config\n" + text.replace("=", " = ")
+        )
+        assert to_bytes(from_bytes(commented)) == data
 
     def test_not_a_file_payload(self):
         with pytest.raises(CheckpointError):

@@ -131,6 +131,16 @@ class TestTrainCommand:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_config_line_without_equals_exits_2(self, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("dim = 8\n# flat model\nlayers 0\n")
+        code = main([
+            "train", "--data", str(data_dir), "--config", str(cfg),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert f"{cfg}:3: expected key = value" in capsys.readouterr().err
+
     def test_missing_data_flag_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["train"])
