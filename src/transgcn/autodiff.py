@@ -20,6 +20,7 @@ from .errors import NumericError, ShapeError, StateError
 
 RESET_MODULUS = 1e-12  # below this a normalized complex coordinate becomes 1+0i
 NEIGHBOR_CHUNK = 256  # edges per neighbor_sum chunk; bounds its temporaries to chunk x d
+TRIPLE_CHUNK = 256  # triples per triple_scores chunk; bounds its temporaries to chunk x d
 
 _tape_stack: list["Tape"] = []
 
@@ -116,6 +117,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = g.copy()  # g may be a read-only view, or also go to another input
     else:
         t.grad += g
+
+
+def _grad_of(t: Tensor) -> np.ndarray:
+    """The gradient of ``t`` to scatter into, allocated as zeros on first use."""
+    if t.grad is None:
+        t.grad = np.zeros(t.shape)
+    return t.grad
 
 
 def _reduce_broadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -236,18 +244,22 @@ def complex_conjugate(a: Tensor) -> Tensor:
     return _make_result(out, (a,), "complex_conjugate", backward_fn)
 
 
-def gather_rows(m: Tensor, ids) -> Tensor:
+def _row_ids(ids, rows: int, op: str) -> np.ndarray:
+    """``ids`` as a 1-D int64 array of row numbers below ``rows``."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
-        raise ShapeError("gather_rows: ids must be a 1-D sequence")
-    if ids.size and (ids.min() < 0 or ids.max() >= m.rows):
-        raise IndexError(f"gather_rows: id out of range for {m.rows} rows")
+        raise ShapeError(f"{op}: ids must be a 1-D sequence")
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise IndexError(f"{op}: id out of range for {rows} rows")
+    return ids
+
+
+def gather_rows(m: Tensor, ids) -> Tensor:
+    ids = _row_ids(ids, m.rows, "gather_rows")
 
     def backward_fn(g):
         if m.requires_grad:
-            if m.grad is None:
-                m.grad = np.zeros(m.shape)
-            np.add.at(m.grad, ids, g)
+            _scatter_add(_grad_of(m), ids, g)
 
     return _make_result(m.values[ids], (m,), "gather_rows", backward_fn)
 
@@ -274,6 +286,22 @@ def _conjugated(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _compose(rows: np.ndarray, r: np.ndarray, rotation: bool,
+             inverse: bool = False) -> np.ndarray:
+    """rows ∘ r, or rows ∘ r̄ when ``inverse`` (translation: rows + r, rows − r).
+
+    ``r`` must be a freshly made array (it is conjugated in place); under
+    translation ``rows`` is updated in place and returned.
+    """
+    if rotation:
+        return complex_product(rows, _conjugated(r) if inverse else r)
+    if inverse:
+        rows -= r
+    else:
+        rows += r
+    return rows
+
+
 def _segment_add(out: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
     """out[k] += the sum of the rows whose key is k; ``keys`` ascend."""
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
@@ -296,13 +324,7 @@ def _neighbor_pass(values: np.ndarray, rel_rows: np.ndarray | None, index,
             edges = order[start : start + NEIGHBOR_CHUNK]
             rows = values[src[edges]]
             if rel_rows is not None:
-                r = rel_rows[index.rels[edges]]
-                if rotation:
-                    rows = complex_product(rows, _conjugated(r) if inverse else r)
-                elif inverse:
-                    rows -= r
-                else:
-                    rows += r
+                rows = _compose(rows, rel_rows[index.rels[edges]], rotation, inverse)
             _segment_add(out, dst[edges], rows)
     return out
 
@@ -316,8 +338,8 @@ def _relation_pass(g: np.ndarray, ent: np.ndarray, index, rotation: bool,
         h, t = index.heads[edges], index.tails[edges]
         if rotation:
             # e_h ∘ r lands on t: g[t] ∘ ē_h; e_t ∘ r̄ lands on h: conj(g[h] ∘ ē_t)
-            rows = complex_product(g[t], _conjugated(ent[h]))
-            rows += complex_product(_conjugated(g[h]), ent[t])
+            rows = _compose(g[t], ent[h], True, inverse=True)
+            rows += _compose(ent[t], g[h], True, inverse=True)
         else:
             rows = g[t] - g[h]
         _segment_add(out, index.rels[edges], rows)
@@ -352,6 +374,75 @@ def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> 
 
     return _make_result(_neighbor_pass(ent, rel, index, rotation), (entities, relations),
                         "neighbor_sum", backward_fn)
+
+
+def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """out[ids[i]] += rows[i] in row order, as np.add.at does.
+
+    It runs np.add.at on the flat view of ``out``, which takes a quarter of
+    the time of the row-wise form and adds in the same order.
+    """
+    cols = out.shape[1]
+    flat = out.reshape(-1)
+    assert np.shares_memory(flat, out)  # gradients are allocated C-contiguous
+    np.add.at(flat, (ids[:, None] * cols + np.arange(cols)).ravel(), rows.ravel())
+
+
+def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
+                  rotation: bool, norm: str) -> Tensor:
+    """Scores −‖e_h ∘ r − e_t‖ of id triples as a (B, 1) column.
+
+    ``norm`` is "l1" or "l2"; under translation the composition is e_h + r.
+    Triples are walked in TRIPLE_CHUNK runs, so no B x d array is kept: the
+    backward recomputes each run's difference and scatters its gradients
+    straight into the entity and relation gradients.
+    """
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"unknown norm {norm!r}, expected 'l1' or 'l2'")
+    if relations.cols != entities.cols:
+        raise ShapeError(f"triple_scores: relation width {relations.cols} != "
+                         f"entity width {entities.cols}")
+    if rotation:
+        _split(entities, "triple_scores")
+    h, t = (_row_ids(ids, entities.rows, "triple_scores") for ids in (heads, tails))
+    r = _row_ids(rels, relations.rows, "triple_scores")
+    if not h.size == r.size == t.size:
+        raise ShapeError(f"triple_scores: {h.size} heads, {r.size} relations, {t.size} tails")
+    ent, rel = entities.values, relations.values
+    runs = [slice(s, s + TRIPLE_CHUNK) for s in range(0, h.size, TRIPLE_CHUNK)]
+
+    def diff(run: slice) -> np.ndarray:
+        rows = _compose(ent[h[run]], rel[r[run]], rotation)
+        rows -= ent[t[run]]
+        return rows
+
+    norms = np.empty((h.size, 1))
+    for run in runs:
+        d = diff(run)
+        if norm == "l1":
+            np.abs(d, out=d)
+            norms[run, 0] = d.sum(axis=1)
+        else:
+            np.square(d, out=d)
+            norms[run, 0] = np.sqrt(d.sum(axis=1))
+
+    def backward_fn(g):
+        g = -g  # the score is the negated norm
+        if norm == "l2":
+            g /= np.where(norms > 0, norms, 1.0)
+        for run in runs:
+            d = diff(run)
+            gd = np.sign(d) if norm == "l1" else d
+            gd *= g[run]  # the gradient of the difference
+            if entities.requires_grad:
+                _scatter_add(_grad_of(entities), t[run], -gd)
+                _scatter_add(_grad_of(entities), h[run],
+                             _compose(gd, rel[r[run]], True, inverse=True) if rotation else gd)
+            if relations.requires_grad:
+                _scatter_add(_grad_of(relations), r[run],
+                             _compose(gd, ent[h[run]], True, inverse=True) if rotation else gd)
+
+    return _make_result(-norms, (entities, relations), "triple_scores", backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -67,7 +67,10 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self) -> str:
-        return self.take(self.unpack("Q")[0]).decode("utf-8")
+        try:
+            return self.take(self.unpack("Q")[0]).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"checkpoint text is not UTF-8: {err}") from err
 
     def array(self) -> np.ndarray:
         rows, cols = self.unpack("QQ")

@@ -1,9 +1,12 @@
 """Triple scoring, negative sampling, and the two training objectives.
 
 Scores are negated distances between the relation's estimate of the tail
-and the tail itself, so 0 is the best possible score.  The margin objective
-pairs with vanilla uniform corruption; the self-adversarial objective
-weights negatives by a detached softmax over their own scores.
+and the tail itself, so 0 is the best possible score.  Scoring is one fused
+op, ``autodiff.triple_scores``: it walks the triples in fixed-size chunks
+and recomputes each chunk in the backward pass, so no batch x d array is
+kept.  The margin objective pairs with vanilla uniform corruption; the
+self-adversarial objective weights negatives by a detached softmax over
+their own scores.
 """
 
 from __future__ import annotations
@@ -12,21 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .transform import Assumption, estimate_from_incoming
-
-
-def _norm_rows(diff: Tensor, norm: str) -> Tensor:
-    if norm == "l1":
-        return ad.row_l1_norm(diff)
-    if norm == "l2":
-        return ad.row_l2_norm(diff)
-    raise ValueError(f"unknown norm {norm!r}, expected 'l1' or 'l2'")
-
-
-def score(h: Tensor, r: Tensor, t: Tensor, assumption: Assumption, norm: str = "l1") -> Tensor:
-    """Row-wise score -||compose(h, r) - t||; shape (B, 1)."""
-    diff = ad.sub(estimate_from_incoming(h, r, assumption), t)
-    return ad.scale(_norm_rows(diff, norm), -1.0)
+from .transform import Assumption
 
 
 def score_triples(
@@ -38,14 +27,9 @@ def score_triples(
     assumption: Assumption,
     norm: str = "l1",
 ) -> Tensor:
-    """Score id triples against encoded entity/relation matrices."""
-    return score(
-        ad.gather_rows(entities, heads),
-        ad.gather_rows(relations, rels),
-        ad.gather_rows(entities, tails),
-        assumption,
-        norm,
-    )
+    """Row-wise score -||compose(e_h, r) - e_t|| of id triples; shape (B, 1)."""
+    return ad.triple_scores(entities, relations, heads, rels, tails,
+                            assumption is Assumption.ROTATION, norm)
 
 
 def _gamma_const(gamma: float) -> Tensor:

@@ -249,17 +249,18 @@ def estimate_peak_bytes(
 ) -> int:
     """Upper estimate of the heap ``train`` takes on top of the loaded graph.
 
-    It counts float64 arrays: 13 copies of the parameters (values, gradients,
+    It counts 8-byte words: 13 copies of the parameters (values, gradients,
     Adam moments, the best snapshot and Adam's temporaries), 12 entity
-    tables per layer plus 4 for validation, 14 tables of batch x (1 +
-    negatives) score rows, the message-passing chunk temporaries, and 16
-    words per train edge for the index and the epoch order.
+    tables per layer plus 4 for validation, 20 words per score row (the
+    batch x (1 + negatives) sampled ids, scores and loss columns), the
+    chunk x d temporaries of scoring and message passing, and 16 words per
+    train edge for the index and the epoch order.
     """
     d, n = config.dim, num_entities
     params = n * d + num_relations * config.relation_dim + 2 * config.layers * d * d
     score_rows = config.batch * (1 + config.negatives)
-    words = (13 * params + (12 * config.layers + 4) * n * d + 14 * score_rows * d
-             + 12 * ad.NEIGHBOR_CHUNK * d + 16 * num_edges)
+    words = (13 * params + (12 * config.layers + 4) * n * d + 20 * score_rows
+             + (10 * ad.TRIPLE_CHUNK + 12 * ad.NEIGHBOR_CHUNK) * d + 16 * num_edges)
     return 8 * words
 
 

@@ -1,5 +1,7 @@
 """Reverse-mode tape: forward values, backward rules, finite-difference checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,13 @@ from hypothesis import strategies as st
 import transgcn.autodiff as ad
 from transgcn.errors import NumericError, ShapeError, StateError
 from transgcn.kg import build_graph, build_index
+from transgcn.transform import Assumption
+from unfused import score_triples as unfused_score_triples
+
+
+def unfused_triple_scores(entities, relations, heads, rels, tails, rotation, norm):
+    assumption = Assumption.ROTATION if rotation else Assumption.TRANSLATION
+    return unfused_score_triples(entities, relations, heads, rels, tails, assumption, norm)
 
 
 def fd_gradients(build, arrays, h=1e-6):
@@ -569,3 +578,87 @@ class TestNeighborSum:
         odd = ad.tensor(np.ones((kg.num_entities, 3)))
         with pytest.raises(ShapeError):
             ad.neighbor_sum(odd, ad.tensor(np.ones((kg.num_relations, 3))), index, True)
+
+
+def triple_batch(rng, num_entities, num_relations, size):
+    """Random id triples with repeated heads, relations and tails and some h == t."""
+    h = rng.integers(num_entities, size=size)
+    t = rng.integers(num_entities, size=size)
+    t[::4] = h[::4]
+    return h, rng.integers(num_relations, size=size), t
+
+
+@pytest.fixture
+def small_triple_chunks(monkeypatch):
+    monkeypatch.setattr(ad, "TRIPLE_CHUNK", 3)
+
+
+class TestTripleScores:
+    @pytest.mark.parametrize("rotation", [False, True])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_gradients_match_finite_differences(self, rotation, norm, small_triple_chunks):
+        rng = np.random.default_rng(21)
+        ent, rel = rng.standard_normal((5, 4)), rng.standard_normal((3, 4))
+        h, r, t = triple_batch(rng, 5, 3, 8)  # three chunks of three, two and three rows
+        check_op_gradients(
+            lambda v: weighted_sum(ad.triple_scores(v[0], v[1], h, r, t, rotation, norm),
+                                   np.random.default_rng(22)),
+            [ent, rel],
+        )
+
+    @pytest.mark.parametrize("rotation", [False, True])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_equals_unfused_chain(self, rotation, norm, chunked, monkeypatch):
+        if chunked:
+            monkeypatch.setattr(ad, "TRIPLE_CHUNK", 7)
+        rng = np.random.default_rng(23)
+        ent, rel = rng.standard_normal((30, 6)), rng.standard_normal((4, 6))
+        h, r, t = triple_batch(rng, 30, 4, 100)
+        w = ad.tensor(rng.uniform(0.5, 1.5, size=(100, 1)))
+        results = []
+        for op in (ad.triple_scores, unfused_triple_scores):
+            e, rr = ad.tensor(ent, requires_grad=True), ad.tensor(rel, requires_grad=True)
+            with ad.Tape() as tape:
+                out = op(e, rr, h, r, t, rotation, norm)
+                loss = ad.sum_all(ad.hadamard(out, w))
+            ad.backward(tape, loss)
+            results.append((out.values, e.grad, rr.grad))
+        (fused, ge, gr), (unfused, ue, ur) = results
+        assert np.array_equal(fused, unfused)
+        np.testing.assert_allclose(ge, ue, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gr, ur, rtol=0, atol=1e-12)
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        rng = np.random.default_rng(25)
+        ent = ad.tensor(rng.standard_normal((200, 64)), requires_grad=True)
+        rel = ad.tensor(rng.standard_normal((10, 64)), requires_grad=True)
+        peaks = []
+        for size in (2048, 8192):
+            h, r, t = triple_batch(rng, 200, 10, size)
+            tracemalloc.start()
+            try:
+                with ad.Tape() as tape:
+                    loss = ad.sum_all(ad.triple_scores(ent, rel, h, r, t, True, "l1"))
+                    ad.backward(tape, loss)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # an unfused chain keeps several batch x 64 arrays, so its peak grows 4x
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_rejects_bad_inputs(self):
+        ent, rel = ad.tensor(np.ones((3, 4))), ad.tensor(np.ones((2, 4)))
+        with pytest.raises(ValueError, match="unknown norm"):
+            ad.triple_scores(ent, rel, [0], [0], [1], False, "l3")
+        with pytest.raises(IndexError):
+            ad.triple_scores(ent, rel, [0], [2], [1], False, "l1")
+        with pytest.raises(IndexError):
+            ad.triple_scores(ent, rel, [0], [0], [-1], False, "l1")
+        with pytest.raises(ShapeError):
+            ad.triple_scores(ent, rel, [0, 1], [0], [1], False, "l1")
+        with pytest.raises(ShapeError):
+            ad.triple_scores(ent, ad.tensor(np.ones((2, 2))), [0], [0], [1], False, "l1")
+        with pytest.raises(ShapeError):
+            odd = ad.tensor(np.ones((3, 3)))
+            ad.triple_scores(odd, odd, [0], [0], [1], True, "l1")

@@ -193,6 +193,15 @@ class TestCorruption:
         )
         assert to_bytes(from_bytes(commented)) == data
 
+    def test_text_not_utf8(self, tmp_path):
+        data = bytearray(GOLDEN_V1.read_bytes())
+        at = data.index("\u00e9".encode("utf-8"))
+        data[at] = 0xFF  # the first byte of the entity name "é"
+        copy = tmp_path / "corrupt.ckpt"
+        copy.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="not UTF-8"):
+            load_checkpoint(copy)
+
     def test_not_a_file_payload(self):
         with pytest.raises(CheckpointError):
             from_bytes(b"short")

@@ -9,10 +9,10 @@ from transgcn.objective import (
     batch_self_adv_loss,
     batch_self_adv_weights,
     sample_negatives,
-    score,
     score_triples,
 )
 from transgcn.transform import Assumption
+from unfused import score
 
 LN2 = float(np.log(2.0))
 
