@@ -272,8 +272,8 @@ def cmd_predict(args) -> int:
     index = build_index(kg)
     entities, relations = encode_arrays(checkpoint.state, index)
     scores = candidate_scores(
-        entities, relations, triple, side, config.assumption, config.norm
-    )
+        entities, relations, rel_id, [fixed_id], side, config.assumption, config.norm
+    )[0]
     blocked = np.zeros(kg.num_entities, dtype=bool)
     blocked[KnownFilter(kg).blocked(triple, side)] = True
     order = np.argsort(-scores, kind="stable")

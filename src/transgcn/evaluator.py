@@ -19,6 +19,7 @@ from .kg import KnowledgeGraph, NeighborhoodIndex, Triple, known_triple_set
 from .transform import Assumption
 
 HITS_CUTOFFS = (1, 3, 10)
+RANK_BLOCK = 2**15  # numbers in one query block x candidate tile x d difference
 
 
 @dataclass
@@ -38,62 +39,66 @@ class RankingReport:
                 "hits10": self.hits10}
 
 
-def rank_from_scores(true_score: float, other_scores: np.ndarray) -> int:
-    """Pessimistic mid-rank of the true candidate among the survivors."""
-    higher = int((other_scores > true_score).sum())
-    tied = int((other_scores == true_score).sum())
+def rank_from_scores(true_score: float | np.ndarray, other_scores: np.ndarray):
+    """Pessimistic mid-rank of the true candidate among the survivors.
+
+    A scalar and a row give one rank; m true scores and an m×n array give
+    m ranks, one per row.
+    """
+    true = np.asarray(true_score)[..., None]
+    higher = (other_scores > true).sum(axis=-1)
+    tied = (other_scores == true).sum(axis=-1)
     return 1 + higher + (tied + 1) // 2
+
+
+def block_shape(n: int, d: int) -> tuple[int, int]:
+    """(tile, per_block): candidate rows per tile and queries per block, so
+    that one per_block × tile × d difference holds about ``RANK_BLOCK`` numbers."""
+    tile = min(n, max(1, RANK_BLOCK // d))
+    return tile, max(1, RANK_BLOCK // (tile * d))
 
 
 def candidate_scores(
     entities: np.ndarray,
     relations: np.ndarray,
-    triple: Triple,
+    r: int,
+    fixed,
     side: str,
     assumption: Assumption,
     norm: str,
 ) -> np.ndarray:
-    """Scores of every entity substituted into one slot of the triple."""
-    h, r, t = triple
-    rel = relations[r]
+    """Scores (m, N) of every entity put in the ``side`` slot of m queries.
+
+    The queries are (fixed[i], r, ?) on the tail side and (?, r, fixed[i])
+    on the head side.  Candidates are taken in tiles and queries in blocks
+    (``block_shape``), so one block × tile × d difference stays in cache; on
+    the head side each tile is composed with r once for all m queries.  Each
+    score is the same float operations as −‖compose(e_h, r) − e_t‖ of one
+    triple.
+    """
     compose = complex_product if Assumption(assumption) is Assumption.ROTATION else np.add
-    # the difference lives in one N×d buffer: every step after the first writes into it
+    if norm not in ("l1", "l2"):
+        raise ValueError(f"unknown norm {norm!r}")
+    rel = relations[r]
     if side == "tail":
-        diff = np.subtract(compose(entities[h], rel), entities)
+        rows = compose(entities[fixed], rel)[:, None, :]
     elif side == "head":
-        diff = compose(entities, rel)
-        diff -= entities[t]
+        rows = entities[fixed][:, None, :]
     else:
         raise ValueError(f"side must be 'head' or 'tail', got {side!r}")
-    if norm == "l1":
-        return -np.abs(diff, out=diff).sum(axis=1)
+    n, d = entities.shape
+    tile, per_block = block_shape(n, d)
+    scores = np.empty((len(rows), n), dtype=np.result_type(entities, relations))
+    for lo in range(0, n, tile):
+        cands = entities[lo:lo + tile] if side == "tail" else compose(entities[lo:lo + tile], rel)
+        for q in range(0, len(rows), per_block):
+            block = rows[q:q + per_block]
+            diff = np.subtract(block, cands) if side == "tail" else np.subtract(cands, block)
+            (np.abs if norm == "l1" else np.square)(diff, out=diff)
+            diff.sum(axis=2, out=scores[q:q + per_block, lo:lo + tile])
     if norm == "l2":
-        return -np.sqrt(np.square(diff, out=diff).sum(axis=1))
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def filtered_rank(
-    entities: np.ndarray,
-    relations: np.ndarray,
-    triple: Triple,
-    side: str,
-    known,
-    assumption: Assumption,
-    norm: str,
-) -> int:
-    """Filtered rank of the true entity for one query."""
-    scores = candidate_scores(entities, relations, triple, side, assumption, norm)
-    h, r, t = triple
-    true_id = t if side == "tail" else h
-    keep = np.ones(len(scores), dtype=bool)
-    for c in range(len(scores)):
-        if c == true_id:
-            continue
-        cand = (h, r, c) if side == "tail" else (c, r, t)
-        if cand in known:
-            keep[c] = False
-    keep[true_id] = False  # the true triple is never its own competitor
-    return rank_from_scores(float(scores[true_id]), scores[keep])
+        np.sqrt(scores, out=scores)
+    return np.negative(scores, out=scores)
 
 
 class KnownFilter:
@@ -118,15 +123,28 @@ class KnownFilter:
         self.tail_keys = np.sort((h * self.r + r) * self.n + t)
         self.head_keys = np.sort((r * self.n + t) * self.n + h)
 
+    def lookup(self, fixed, r, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """Blocked (row, id) pairs of the queries (fixed[i], r, ?) or (?, r, fixed[i]).
+
+        Id ``ids[k]`` gives a known triple in the ``side`` slot of query
+        ``rows[k]``; rows come in ascending order.
+        """
+        fixed = np.asarray(fixed, dtype=np.int64)
+        if side == "tail":
+            keys, base = self.tail_keys, (fixed * self.r + r) * self.n
+        else:
+            keys, base = self.head_keys, (r * self.n + fixed) * self.n
+        lo = np.searchsorted(keys, base)
+        counts = np.searchsorted(keys, base + self.n) - lo
+        rows = np.repeat(np.arange(len(base)), counts)
+        # position of each blocked key: its row's slice start plus its offset in the slice
+        at = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        return rows, keys[at] - base[rows]
+
     def blocked(self, triple: Triple, side: str) -> np.ndarray:
         """Ids c that give a known triple when put in the ``side`` slot of ``triple``."""
         h, r, t = triple
-        if side == "tail":
-            keys, base = self.tail_keys, (h * self.r + r) * self.n
-        else:
-            keys, base = self.head_keys, (r * self.n + t) * self.n
-        lo, hi = np.searchsorted(keys, (base, base + self.n))
-        return keys[lo:hi] - base
+        return self.lookup([h if side == "tail" else t], r, side)[1]
 
 
 def evaluate(
@@ -141,8 +159,11 @@ def evaluate(
 ) -> RankingReport:
     """Rank every triple of a split on both sides and aggregate metrics.
 
-    ``known`` defaults to the union of all three splits.  Results are
-    independent of ``threads``: queries are chunked and merged positionally.
+    ``known`` defaults to the union of all three splits.  Queries are sorted
+    stably by (side, relation) and cut into runs of at most max(d, block)
+    queries of one relation; each run is scored by one ``candidate_scores``
+    call, then filtered and ranked as arrays.  Results are independent of
+    ``threads``: the pool maps runs and ranks are written back by position.
     """
     assumption = Assumption(assumption)
     if threads < 1:
@@ -151,27 +172,38 @@ def evaluate(
     if not triples:
         raise ValueError(f"cannot evaluate an empty {split} split")
     known_filter = KnownFilter(kg, known)
+    ids = np.array(triples, dtype=np.int64).reshape(-1, 3)
+    n, d = entities.shape
+    # a call's score rows take no more memory than the entity table or one block
+    per_call = max(d, block_shape(n, d)[1])
+    order = np.argsort(ids[:, 1], kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(ids[order, 1])) + 1)
+    tasks = [(side, group[lo:lo + per_call]) for side in ("head", "tail")
+             for group in groups for lo in range(0, len(group), per_call)]
 
-    def rank_query(args) -> int:
-        triple, side = args
-        scores = candidate_scores(entities, relations, triple, side, assumption, norm)
-        true_id = triple.tail if side == "tail" else triple.head
-        true_score = float(scores[true_id])
+    def rank_task(task) -> np.ndarray:
+        side, queries = task
+        r = ids[queries[0], 1]
+        fixed, true_ids = ids[queries, 0], ids[queries, 2]
+        if side == "head":
+            fixed, true_ids = true_ids, fixed
+        scores = candidate_scores(entities, relations, r, fixed, side, assumption, norm)
+        rows = np.arange(len(queries))
+        true_scores = scores[rows, true_ids]
         # -inf neither beats nor ties a finite true score: these drop out of the counts
-        scores[known_filter.blocked(triple, side)] = -np.inf
-        scores[true_id] = -np.inf
-        return rank_from_scores(true_score, scores)
+        scores[known_filter.lookup(fixed, r, side)] = -np.inf
+        scores[rows, true_ids] = -np.inf
+        return rank_from_scores(true_scores, scores)
 
-    queries = [(t, "head") for t in triples] + [(t, "tail") for t in triples]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = list(pool.map(rank_query, queries, chunksize=64))
+            results = list(pool.map(rank_task, tasks))
     else:
-        ranks = [rank_query(q) for q in queries]
-
-    n = len(triples)
-    head_ranks = np.asarray(ranks[:n], dtype=np.int64)
-    tail_ranks = np.asarray(ranks[n:], dtype=np.int64)
+        results = [rank_task(task) for task in tasks]
+    head_ranks = np.empty(len(ids), dtype=np.int64)
+    tail_ranks = np.empty(len(ids), dtype=np.int64)
+    for (side, queries), ranks in zip(tasks, results):
+        (head_ranks if side == "head" else tail_ranks)[queries] = ranks
     all_ranks = np.concatenate([head_ranks, tail_ranks]).astype(np.float64)
     hits = {k: float(np.mean(all_ranks <= k)) for k in HITS_CUTOFFS}
     return RankingReport(

@@ -320,6 +320,34 @@ def train(
     best: Checkpoint | None = None
     n = config.negatives
 
+    def loss_and_gradients(step_state: ModelState, chunk: np.ndarray) -> float:
+        """Forward and backward pass of one batch; returns the loss value.
+
+        The tape and every intermediate die on return, so the Adam update's
+        temporaries do not stack on top of the step's graph.
+        """
+        ph, pr, pt = index.heads[chunk], index.rels[chunk], index.tails[chunk]
+        nh, nr, nt = sample_negatives(ph, pr, pt, n, kg.num_entities, sample_rng)
+        with Tape() as tape:
+            entities, relations = encode(step_state, index)
+            pos_scores = score_triples(
+                entities, relations, ph, pr, pt, config.assumption, config.norm
+            )
+            neg_scores = score_triples(
+                entities, relations, nh, nr, nt, config.assumption, config.norm
+            )
+            if config.sampling == "vanilla":
+                loss = batch_margin_loss(pos_scores, neg_scores, config.gamma, n)
+            else:
+                weights = batch_self_adv_weights(neg_scores, config.alpha, n)
+                loss = batch_self_adv_loss(
+                    pos_scores, neg_scores, weights, config.gamma, n
+                )
+        for p in params.values():
+            p.zero_grad()
+        backward(tape, loss)
+        return float(loss.values[0, 0])
+
     def run_epoch(epoch: int) -> float:
         nonlocal step
         active = 0 if epoch <= pretrain_end else config.layers
@@ -332,26 +360,7 @@ def train(
         total = 0.0
         for start in range(0, len(order), config.batch):
             chunk = order[start : start + config.batch]
-            ph, pr, pt = index.heads[chunk], index.rels[chunk], index.tails[chunk]
-            nh, nr, nt = sample_negatives(ph, pr, pt, n, kg.num_entities, sample_rng)
-            with Tape() as tape:
-                entities, relations = encode(step_state, index)
-                pos_scores = score_triples(
-                    entities, relations, ph, pr, pt, config.assumption, config.norm
-                )
-                neg_scores = score_triples(
-                    entities, relations, nh, nr, nt, config.assumption, config.norm
-                )
-                if config.sampling == "vanilla":
-                    loss = batch_margin_loss(pos_scores, neg_scores, config.gamma, n)
-                else:
-                    weights = batch_self_adv_weights(neg_scores, config.alpha, n)
-                    loss = batch_self_adv_loss(
-                        pos_scores, neg_scores, weights, config.gamma, n
-                    )
-            for p in params.values():
-                p.zero_grad()
-            backward(tape, loss)
+            total += loss_and_gradients(step_state, chunk) * len(chunk)
             _clip_gradients(params, config.clip)
             step += 1
             for name, p in params.items():
@@ -362,7 +371,6 @@ def train(
                     raise NumericError(f"non-finite update for {name} at step {step}")
                 adam_m[name], adam_v[name] = m, v
                 p.values = updated
-            total += float(loss.values[0, 0]) * len(chunk)
         return total / len(order)
 
     epoch = 0

@@ -1,17 +1,18 @@
 """Filtered link-prediction protocol against an exhaustive oracle."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from transgcn import evaluator
 from transgcn.evaluator import (
     KnownFilter,
     RankingReport,
     candidate_scores,
     degree_bucket_report,
     evaluate,
-    filtered_rank,
     rank_from_scores,
 )
 from transgcn.kg import Triple, build_graph, build_index, known_triple_set
@@ -52,6 +53,23 @@ def oracle_rank(entities, relations, triple, side, known, assumption, norm):
     return 1 + higher + (tied + 1) // 2
 
 
+def filtered_rank(entities, relations, triple, side, known, assumption, norm):
+    """Filtered rank of one query from the package's scores, filtered by a
+    per-candidate loop over ``known``."""
+    h, r, t = triple
+    fixed, true_id = (h, t) if side == "tail" else (t, h)
+    scores = candidate_scores(entities, relations, r, [fixed], side, assumption, norm)[0]
+    keep = np.ones(len(scores), dtype=bool)
+    for c in range(len(scores)):
+        if c == true_id:
+            continue
+        cand = (h, r, c) if side == "tail" else (c, r, t)
+        if cand in known:
+            keep[c] = False
+    keep[true_id] = False  # the true triple is never its own competitor
+    return rank_from_scores(float(scores[true_id]), scores[keep])
+
+
 def random_kg(rng, n_ent, n_rel, n_train, n_test):
     def rows(k):
         return [
@@ -84,6 +102,14 @@ class TestRankFromScores:
 
     def test_empty_candidates(self):
         assert rank_from_scores(0.5, np.array([])) == 1
+
+    def test_rows_equal_one_rank_per_row(self):
+        rng = np.random.default_rng(13)
+        scores = rng.integers(-3, 3, size=(9, 11)).astype(float)  # integers force ties
+        scores[2] = -np.inf
+        true = rng.integers(-3, 3, size=9).astype(float)
+        ranks = rank_from_scores(true, scores)
+        assert ranks.tolist() == [rank_from_scores(t, row) for t, row in zip(true, scores)]
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(0)
@@ -166,21 +192,106 @@ class TestFilteredRank:
 
 
 class TestCandidateScores:
-    def test_vectorized_equals_per_triple(self):
+    def test_vectorized_equals_per_triple(self, monkeypatch):
         rng = np.random.default_rng(4)
         entities = rng.standard_normal((7, 8))
         relations = rng.standard_normal((2, 8))
-        triple = Triple(3, 1, 5)
-        for side in ("head", "tail"):
-            # the assumption as its enum member and as its name
-            for assumption in (*Assumption, "translation", "rotation"):
-                for norm in ("l1", "l2"):
-                    vec = candidate_scores(entities, relations, triple, side, assumption,
-                                           norm)
-                    for c in range(7):
-                        cand = (triple.head, 1, c) if side == "tail" else (c, 1, triple.tail)
-                        assert vec[c] == oracle_score(entities, relations, *cand,
-                                                      Assumption(assumption), norm)
+        fixed = [3, 5, 3, 0, 6]  # one call, several blocks, a repeated query
+        # at d=8 and 7 entities: tiles of 4 rows with one query per block,
+        # whole-table tiles with 2 queries per block, and the default
+        for rank_block in (32, 120, evaluator.RANK_BLOCK):
+            monkeypatch.setattr(evaluator, "RANK_BLOCK", rank_block)
+            for side in ("head", "tail"):
+                # the assumption as its enum member and as its name
+                for assumption in (*Assumption, "translation", "rotation"):
+                    for norm in ("l1", "l2"):
+                        vec = candidate_scores(entities, relations, 1, fixed, side,
+                                               assumption, norm)
+                        assert vec.shape == (len(fixed), 7)
+                        for row, f in zip(vec, fixed):
+                            for c in range(7):
+                                cand = (f, 1, c) if side == "tail" else (c, 1, f)
+                                assert row[c] == oracle_score(
+                                    entities, relations, *cand, Assumption(assumption), norm)
+
+    def test_bad_side_and_norm_rejected(self):
+        entities, relations = np.zeros((3, 4)), np.zeros((1, 4))
+        with pytest.raises(ValueError, match="side"):
+            candidate_scores(entities, relations, 0, [1], "middle", "translation", "l1")
+        with pytest.raises(ValueError, match="norm"):
+            candidate_scores(entities, relations, 0, [1], "tail", "translation", "l3")
+
+
+class TestBlockedRanking:
+    """evaluate's grouped, tiled path against the brute-force oracle."""
+
+    @staticmethod
+    def graph():
+        # r0: a chain, so every entity is seen; r1: e0's tails cover every entity, so
+        # (e0, r1, ?) has every other candidate blocked; r2 has a single test query;
+        # test triples repeat; under known = train only, queries on r3 block nothing
+        n = 13
+        train = [(f"e{i}", "r0", f"e{(i + 1) % n}") for i in range(n)]
+        train += [("e0", "r1", f"e{i}") for i in range(1, n)] + [("e4", "r2", "e5")]
+        test = [("e0", "r1", "e0"), ("e3", "r0", "e7"), ("e3", "r0", "e7"), ("e2", "r2", "e9"),
+                ("e1", "r3", "e8"), ("e5", "r3", "e5"), ("e6", "r0", "e12")]
+        test += [(f"e{i}", "r1", f"e{(3 * i) % n}") for i in range(2, 9)]
+        return build_graph(train, [("e8", "r3", "e1")], test)
+
+    @pytest.mark.parametrize("rank_block", (30, 300, evaluator.RANK_BLOCK))
+    @pytest.mark.parametrize("assumption", [Assumption.TRANSLATION, Assumption.ROTATION])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_equals_oracle(self, rank_block, assumption, norm, monkeypatch):
+        # at d=6 and 13 entities: tiles of 5 rows (the last one 3), or whole-table
+        # tiles with 3 queries per block; r1's 8 queries span two calls of 6
+        monkeypatch.setattr(evaluator, "RANK_BLOCK", rank_block)
+        kg = self.graph()
+        rng = np.random.default_rng(14)
+        entities = rng.standard_normal((kg.num_entities, 6))
+        entities[[4, 9, 11]] = entities[7]  # planted exact ties with a true entity
+        relations = rng.standard_normal((kg.num_relations, 6))
+        for known in (known_triple_set(kg), frozenset(map(tuple, kg.train)), frozenset()):
+            a = evaluate(kg, "test", entities, relations, assumption, norm, known=known)
+            b = evaluate(kg, "test", entities, relations, assumption, norm, threads=3,
+                         known=known)
+            np.testing.assert_array_equal(a.head_ranks, b.head_ranks)
+            np.testing.assert_array_equal(a.tail_ranks, b.tail_ranks)
+            for i, triple in enumerate(kg.test):
+                for side in ("head", "tail"):
+                    want = oracle_rank(entities, relations, triple, side, known,
+                                       assumption, norm)
+                    assert getattr(a, f"{side}_ranks")[i] == want
+
+    def test_every_other_candidate_blocked(self):
+        kg = self.graph()
+        rng = np.random.default_rng(15)
+        entities = rng.standard_normal((kg.num_entities, 6))
+        relations = rng.standard_normal((kg.num_relations, 6))
+        # every other tail of (e0, r1, ?) sits near e0 + r1 and beats the true e0
+        entities[1:] = entities[0] + relations[1] + 0.01 * entities[1:]
+        report = evaluate(kg, "test", entities, relations, Assumption.TRANSLATION, "l1")
+        assert kg.test[0] == (0, 1, 0) and report.tail_ranks[0] == 1
+        raw = evaluate(kg, "test", entities, relations, Assumption.TRANSLATION, "l1",
+                       known=frozenset())
+        assert raw.tail_ranks[0] == kg.num_entities
+
+    def test_memory_is_bounded_by_blocks(self):
+        def peak(n_test):
+            rng = np.random.default_rng(16)
+            kg = random_kg(rng, 1500, 3, 2500, n_test)
+            entities = rng.standard_normal((kg.num_entities, 32))
+            relations = rng.standard_normal((kg.num_relations, 32))
+            known = known_triple_set(kg)
+            tracemalloc.start()
+            try:
+                evaluate(kg, "test", entities, relations, Assumption.ROTATION, "l1",
+                         known=known)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(250), peak(1000)
+        assert large < 1.5 * small, (small, large)
 
 
 class TestEvaluate:
@@ -268,6 +379,37 @@ class TestEvaluate:
         report = evaluate(kg, "test", entities, relations, Assumption.TRANSLATION, "l1")
         d = report.to_dict()
         assert set(d) >= {"mrr", "hits1", "hits3", "hits10"}
+
+
+class TestKnownFilterLookup:
+    def test_batch_equals_blocked_and_brute_force(self):
+        rng = np.random.default_rng(17)
+        kg = random_kg(rng, 9, 3, 40, 10)
+        n, r_count = kg.num_entities, kg.num_relations
+        # the smallest and largest key of each table: (0, 0, 0) and (n-1, r-1, n-1)
+        known = known_triple_set(kg) | {(0, 0, 0), (n - 1, r_count - 1, n - 1)}
+        kf = KnownFilter(kg, known)
+        for side in ("head", "tail"):
+            for r in range(r_count):
+                fixed = np.array([0, n - 1, 4, 0, 7, n - 1, 2])  # ends, repeats
+                rows, ids = kf.lookup(fixed, r, side)
+                assert np.all(np.diff(rows) >= 0)
+                for i, f in enumerate(fixed):
+                    triple = Triple(f, r, 0) if side == "tail" else Triple(0, r, f)
+                    got = ids[rows == i]
+                    np.testing.assert_array_equal(got, kf.blocked(triple, side))
+                    want = sorted(c for c in range(n)
+                                  if ((f, r, c) if side == "tail" else (c, r, f)) in known)
+                    assert got.tolist() == want
+        assert kf.tail_keys[0] == 0 and kf.head_keys[0] == 0
+        assert kf.tail_keys[-1] == kf.head_keys[-1] == n * n * r_count - 1
+
+    def test_no_queries_and_no_known(self):
+        kg = build_graph([("a", "r", "b")], [], [("a", "r", "b")])
+        rows, ids = KnownFilter(kg).lookup(np.array([], dtype=np.int64), 0, "tail")
+        assert rows.size == ids.size == 0
+        rows, ids = KnownFilter(kg, known=frozenset()).lookup([0, 1], 0, "head")
+        assert rows.size == ids.size == 0
 
 
 class TestDegreeBuckets:
