@@ -34,9 +34,14 @@ toy:
 	  --data runs/kinship --split test --buckets --out runs/kinship-model
 
 # Full-scale reproduction targets. These are research-length jobs, not CI
-# checks: with the pure-numpy backend expect tens of hours on one CPU core
-# (an hour buys only a handful of epochs at d=500). Reference targets:
-# FB15k-237 filtered MRR 0.356 +/- 0.02, WN18RR filtered MRR 0.485 +/- 0.02.
+# checks. On a synthetic FB15k-237-shaped graph (d=500, batch 512, 16
+# negatives) one one-layer rotation step took about 9.5 s on a 2-core host,
+# so an epoch of 532 steps takes about 84 minutes. fullscale-fb15k237 runs
+# 100 zero-layer epochs, then 100 two-layer epochs; a two-layer step does
+# more work than a one-layer step, so the two-layer epochs alone take at
+# least about 140 CPU-hours. The two-layer step time and the WN18RR-shaped
+# step time are unmeasured. Reference targets: FB15k-237 filtered MRR
+# 0.356 +/- 0.02, WN18RR filtered MRR 0.485 +/- 0.02.
 fullscale-fb15k237:
 	@test -n "$(TRANSGCN_FB15K237_DIR)" || { echo "set TRANSGCN_FB15K237_DIR first"; exit 2; }
 	$(RUN) -m transgcn train --data $(TRANSGCN_FB15K237_DIR) --out runs/fb15k237 \

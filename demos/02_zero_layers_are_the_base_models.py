@@ -29,18 +29,13 @@ state = ModelState(
 ents, rels = encode_arrays(state, build_index(kg))
 
 triples = kg.test[:5]
-h = np.array([t.head for t in triples])
-r = np.array([t.relation for t in triples])
-t = np.array([t.tail for t in triples])
+h, r, t = triples.T
 model = score_triples(
     ad.tensor(ents), ad.tensor(rels), h, r, t, Assumption.TRANSLATION
 ).values.reshape(-1)
 
 print("triple                                straight-line      encoder")
-for k, tr in enumerate(triples):
-    plain = -np.abs(entity[tr.head] + relation[tr.relation] - entity[tr.tail]).sum()
-    name = (
-        f"{kg.entity_names[tr.head]} "
-        f"{kg.relation_names[tr.relation]} {kg.entity_names[tr.tail]}"
-    )
+for k, (hk, rk, tk) in enumerate(triples.tolist()):
+    plain = -np.abs(entity[hk] + relation[rk] - entity[tk]).sum()
+    name = f"{kg.entity_names[hk]} {kg.relation_names[rk]} {kg.entity_names[tk]}"
     print(f"{name:38s}{plain:14.6f}{model[k]:14.6f}  equal={plain == model[k]}")

@@ -8,7 +8,7 @@ the filtered protocol, then complete a few queries by hand.
 
 import numpy as np
 
-from transgcn import TrainConfig, evaluate, generate_kinship, train
+from transgcn import TrainConfig, evaluate, generate_kinship, known_triple_set, train
 from transgcn.encoder import encode_arrays
 from transgcn.evaluator import degree_bucket_report
 from transgcn.kg import build_index
@@ -37,23 +37,23 @@ for row in degree_bucket_report(report, index):
     print(f"  degree [{lo},{hi}): {n:3d} queries, MRR {mrr:.4f}")
 
 print("\nhand-completing three test queries (filtered, tail side):")
-known = {(t.head, t.relation, t.tail) for t in kg.train + kg.valid + kg.test}
-for triple in kg.test[:3]:
-    est = entities[triple.head] + relations[triple.relation]
+known = known_triple_set(kg)
+for h, r, t in kg.test[:3].tolist():
+    est = entities[h] + relations[r]
     scores = -np.sqrt(np.square(est - entities).sum(axis=1))
     order = np.argsort(-scores, kind="stable")
     shown, true_rank, position = [], None, 0
     for cand in order:
         c = int(cand)
-        if c != triple.tail and (triple.head, triple.relation, c) in known:
+        if c != t and (h, r, c) in known:
             continue  # another true completion, filtered out
         position += 1
-        if c == triple.tail:
+        if c == t:
             true_rank = position
         if len(shown) < 3:
             shown.append(kg.entity_names[c])
         if true_rank is not None and len(shown) == 3:
             break
-    query = f"{kg.entity_names[triple.head]} {kg.relation_names[triple.relation]} ?"
+    query = f"{kg.entity_names[h]} {kg.relation_names[r]} ?"
     print(f"  {query:28s} top: {', '.join(shown)}  "
-          f"(true {kg.entity_names[triple.tail]} at rank {true_rank})")
+          f"(true {kg.entity_names[t]} at rank {true_rank})")

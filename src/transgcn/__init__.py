@@ -13,7 +13,7 @@ from .errors import (
     TransGCNError,
 )
 from .evaluator import RankingReport, degree_bucket_report, evaluate
-from .kg import KnowledgeGraph, Triple, build_graph, build_index, known_triple_set, load_dataset
+from .kg import KnowledgeGraph, build_graph, build_index, known_triple_set, load_dataset
 from .kinship import generate_kinship
 from .trainer import (Checkpoint, TrainConfig, TrainingAborted, layer_sweep,
                       param_count_report, train)
@@ -32,7 +32,6 @@ __all__ = [
     "TrainConfig",
     "TransGCNError",
     "TrainingAborted",
-    "Triple",
     "build_graph",
     "build_index",
     "degree_bucket_report",

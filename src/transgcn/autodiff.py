@@ -393,7 +393,7 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
     """Scores −‖e_h ∘ r − e_t‖ of id triples as a (B, 1) column.
 
     ``norm`` is "l1" or "l2"; under translation the composition is e_h + r.
-    Triples are walked in TRIPLE_CHUNK runs, so no B x d array is kept: the
+    The rows are walked in TRIPLE_CHUNK runs, so no B x d array is kept: the
     backward recomputes each run's difference and scatters its gradients
     straight into the entity and relation gradients.
     """

@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .evaluator import KnownFilter, candidate_scores, degree_bucket_report, evaluate
-from .kg import SPLIT_FILES, Triple, build_index, load_dataset, write_dataset
+from .kg import SPLIT_FILES, build_index, load_dataset, write_dataset
 from .kinship import generate_kinship
 from .trainer import (
     CONFIG_FIELDS,
@@ -266,16 +266,13 @@ def cmd_predict(args) -> int:
     if fixed not in entity_ids:
         raise ConfigError(f"unknown entity name {fixed!r}")
     fixed_id = entity_ids[fixed]
-    triple = (
-        Triple(fixed_id, rel_id, 0) if side == "tail" else Triple(0, rel_id, fixed_id)
-    )
     index = build_index(kg)
     entities, relations = encode_arrays(checkpoint.state, index)
     scores = candidate_scores(
         entities, relations, rel_id, [fixed_id], side, config.assumption, config.norm
     )[0]
     blocked = np.zeros(kg.num_entities, dtype=bool)
-    blocked[KnownFilter(kg).blocked(triple, side)] = True
+    blocked[KnownFilter(kg).lookup([fixed_id], rel_id, side)[1]] = True
     order = np.argsort(-scores, kind="stable")
     flags = blocked[order]
     if not args.keep_known:

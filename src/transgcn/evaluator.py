@@ -8,14 +8,14 @@ to the pessimistic mid-rank: 1 + #higher + ceil(#tied / 2).
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import complex_product
-from .kg import KnowledgeGraph, NeighborhoodIndex, Triple, known_triple_set
+from .kg import KnowledgeGraph, NeighborhoodIndex
+from .kg import known_triple_set  # unused here; benchmarks/tracing.py wraps it by this name
 from .transform import Assumption
 
 HITS_CUTOFFS = (1, 3, 10)
@@ -24,7 +24,8 @@ RANK_BLOCK = 2**15  # numbers in one query block x candidate tile x d difference
 
 @dataclass
 class RankingReport:
-    """Filtered metrics plus per-query ranks aligned with ``triples``."""
+    """Filtered metrics plus per-query ranks: ``triples`` is the ranked split's
+    read-only (n, 3) id array, and its row i has ranks head_ranks[i] and tail_ranks[i]."""
 
     mrr: float
     hits1: float
@@ -32,7 +33,7 @@ class RankingReport:
     hits10: float
     head_ranks: np.ndarray
     tail_ranks: np.ndarray
-    triples: list[Triple] = field(repr=False, default_factory=list)
+    triples: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
         return {"mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3,
@@ -108,17 +109,18 @@ class KnownFilter:
     (h·R + r)·N + t in the tail table and (r·N + t)·N + h in the head table
     (so N²·R must stay below 2**63).  A query's blocked keys are one
     contiguous slice of a table (CSR-style), found with two binary searches.
-    ``known`` defaults to the triples of all three splits.
+    ``known`` (any collection of (h, r, t) id triples) defaults to the rows
+    of all three splits.
     """
 
     def __init__(self, kg: KnowledgeGraph, known=None):
-        if known is None:
-            known = known_triple_set(kg)
         self.n, self.r = kg.num_entities, kg.num_relations
         if self.n * self.n * self.r >= 2**63:
             raise ValueError(f"{self.n} entities x {self.r} relations overflow int64 keys")
-        ids = np.fromiter(itertools.chain.from_iterable(known), dtype=np.int64,
-                          count=3 * len(known)).reshape(-1, 3)
+        if known is None:
+            ids = np.concatenate([kg.train, kg.valid, kg.test])
+        else:
+            ids = np.array(list(known), dtype=np.int64).reshape(-1, 3)
         h, r, t = ids.T
         self.tail_keys = np.sort((h * self.r + r) * self.n + t)
         self.head_keys = np.sort((r * self.n + t) * self.n + h)
@@ -127,7 +129,10 @@ class KnownFilter:
         """Blocked (row, id) pairs of the queries (fixed[i], r, ?) or (?, r, fixed[i]).
 
         Id ``ids[k]`` gives a known triple in the ``side`` slot of query
-        ``rows[k]``; rows come in ascending order.
+        ``rows[k]``; rows come in ascending order.  An id repeats within a
+        row when its triple is listed twice (a duplicated train row, or a
+        triple in two splits); ranks do not change, since a blocked id is
+        set to -inf either way.
         """
         fixed = np.asarray(fixed, dtype=np.int64)
         if side == "tail":
@@ -140,11 +145,6 @@ class KnownFilter:
         # position of each blocked key: its row's slice start plus its offset in the slice
         at = np.arange(len(rows)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
         return rows, keys[at] - base[rows]
-
-    def blocked(self, triple: Triple, side: str) -> np.ndarray:
-        """Ids c that give a known triple when put in the ``side`` slot of ``triple``."""
-        h, r, t = triple
-        return self.lookup([h if side == "tail" else t], r, side)[1]
 
 
 def evaluate(
@@ -168,11 +168,10 @@ def evaluate(
     assumption = Assumption(assumption)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    triples = kg.split(split)
-    if not triples:
+    ids = kg.split(split)
+    if not len(ids):
         raise ValueError(f"cannot evaluate an empty {split} split")
     known_filter = KnownFilter(kg, known)
-    ids = np.array(triples, dtype=np.int64).reshape(-1, 3)
     n, d = entities.shape
     # a call's score rows take no more memory than the entity table or one block
     per_call = max(d, block_shape(n, d)[1])
@@ -213,7 +212,7 @@ def evaluate(
         hits10=hits[10],
         head_ranks=head_ranks,
         tail_ranks=tail_ranks,
-        triples=list(triples),
+        triples=ids,
     )
 
 
@@ -223,8 +222,7 @@ def degree_bucket_report(report: RankingReport, index: NeighborhoodIndex) -> lis
     Buckets have geometric edges 1, 2, 4, 8, ... plus a leading bucket for
     degree-0 entities; together they partition the queries.
     """
-    ids = np.array(report.triples, dtype=np.int64).reshape(-1, 3)
-    degrees = index.degree[np.concatenate([ids[:, 0], ids[:, 2]])]
+    degrees = index.degree[np.concatenate([report.triples[:, 0], report.triples[:, 2]])]
     ranks = np.concatenate([report.head_ranks, report.tail_ranks])
     max_degree = int(degrees.max()) if degrees.size else 0
     edges = [0, 1]

@@ -2,8 +2,9 @@
 
 A dataset directory holds three UTF-8 TSV files (train.txt, valid.txt,
 test.txt), one ``head<TAB>relation<TAB>tail`` triple per line.  String names
-are interned into integer ids shared across the splits; all downstream code
-works on ids only.
+are interned into integer ids shared across the splits, and each split is held
+as one read-only (n, 3) int64 array of (head, relation, tail) id rows; all
+downstream code works on these arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -22,27 +23,48 @@ logger = logging.getLogger("transgcn.kg")
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
 
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
-@dataclass
+@dataclass(eq=False)
 class KnowledgeGraph:
     """Id-level triples for the three splits plus the name vocabularies.
 
     Vocabularies are the union over all splits; ids are assigned by first
     appearance scanning train, then valid, then test (and head, relation,
-    tail within a line).  Instances are treated as immutable after
-    construction.
+    tail within a line).  Each split is a read-only, C-contiguous (n, 3)
+    int64 array of (head, relation, tail) rows, so it cannot change after
+    construction.  Any sequence of id triples may be passed (a list, ``[]``,
+    an array slice): a row that is not three in-vocabulary ids raises a
+    ValueError naming the split, and a caller's array is held as a
+    read-only view or copy, never made read-only itself.
     """
 
     entity_names: list[str]
     relation_names: list[str]
-    train: list[Triple]
-    valid: list[Triple]
-    test: list[Triple]
+    train: np.ndarray
+    valid: np.ndarray
+    test: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(set(self.entity_names)) != len(self.entity_names):
+            raise ValueError("duplicate entity names")
+        if len(set(self.relation_names)) != len(self.relation_names):
+            raise ValueError("duplicate relation names")
+        bounds = np.array([self.num_entities, self.num_relations, self.num_entities])
+        for name in ("train", "valid", "test"):
+            try:
+                ids = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{name} split is not a sequence of id triples: {err}") from None
+            if ids.shape == (0,):
+                ids = ids.reshape(0, 3)
+            if ids.ndim != 2 or ids.shape[1] != 3:
+                raise ValueError(f"{name} split rows must be id triples, got shape {ids.shape}")
+            outside = ((ids < 0) | (ids >= bounds)).any(axis=1)
+            if outside.any():
+                raise ValueError(f"{name} split triple {tuple(ids[outside][0].tolist())} "
+                                 "references an id outside the vocabulary")
+            ids = ids.view()
+            ids.flags.writeable = False
+            setattr(self, name, ids)
 
     @property
     def num_entities(self) -> int:
@@ -52,22 +74,10 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def split(self, name: str) -> list[Triple]:
+    def split(self, name: str) -> np.ndarray:
         if name not in ("train", "valid", "test"):
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
-
-    def validate(self) -> None:
-        """Check vocabulary and id invariants, raising ValueError on breach."""
-        if len(set(self.entity_names)) != len(self.entity_names):
-            raise ValueError("duplicate entity names")
-        if len(set(self.relation_names)) != len(self.relation_names):
-            raise ValueError("duplicate relation names")
-        ne, nr = self.num_entities, self.num_relations
-        for split in (self.train, self.valid, self.test):
-            for t in split:
-                if not (0 <= t.head < ne and 0 <= t.tail < ne and 0 <= t.relation < nr):
-                    raise ValueError(f"triple {t} references an id outside the vocabulary")
 
 
 def read_triples_tsv(path: str | os.PathLike) -> list[tuple[str, str, str]]:
@@ -110,13 +120,10 @@ def build_graph(
             table[name] = len(table)
         return table[name]
 
-    splits: list[list[Triple]] = []
+    splits: list[list[tuple[int, int, int]]] = []
     for split_name, rows in (("train", train_rows), ("valid", valid_rows), ("test", test_rows)):
-        triples: list[Triple] = []
-        for h, r, t in rows:
-            triples.append(
-                Triple(intern(entity_ids, h), intern(relation_ids, r), intern(entity_ids, t))
-            )
+        triples = [(intern(entity_ids, h), intern(relation_ids, r), intern(entity_ids, t))
+                   for h, r, t in rows]
         dup_count = len(triples) - len(set(triples))
         if dup_count:
             logger.warning("%s split contains %d duplicate triples (preserved)", split_name, dup_count)
@@ -146,10 +153,8 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
     os.makedirs(directory, exist_ok=True)
     for name, triples in (("train.txt", kg.train), ("valid.txt", kg.valid), ("test.txt", kg.test)):
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
-            for t in triples:
-                fh.write(
-                    f"{kg.entity_names[t.head]}\t{kg.relation_names[t.relation]}\t{kg.entity_names[t.tail]}\n"
-                )
+            for h, r, t in triples.tolist():
+                fh.write(f"{kg.entity_names[h]}\t{kg.relation_names[r]}\t{kg.entity_names[t]}\n")
 
 
 @dataclass
@@ -189,10 +194,7 @@ def _sorted_by(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
     """Index train-split neighborhoods; valid/test edges never participate."""
-    n = len(kg.train)
-    heads = np.fromiter((t.head for t in kg.train), dtype=np.int64, count=n)
-    rels = np.fromiter((t.relation for t in kg.train), dtype=np.int64, count=n)
-    tails = np.fromiter((t.tail for t in kg.train), dtype=np.int64, count=n)
+    heads, rels, tails = np.ascontiguousarray(kg.train.T)
     by_tail, tail_offsets = _sorted_by(tails, kg.num_entities)
     by_head, head_offsets = _sorted_by(heads, kg.num_entities)
     return NeighborhoodIndex(
@@ -206,4 +208,4 @@ def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
 
 def known_triple_set(kg: KnowledgeGraph) -> frozenset[tuple[int, int, int]]:
     """Constant-time membership test over train ∪ valid ∪ test id triples."""
-    return frozenset((t.head, t.relation, t.tail) for t in (*kg.train, *kg.valid, *kg.test))
+    return frozenset(map(tuple, np.concatenate([kg.train, kg.valid, kg.test]).tolist()))

@@ -1,4 +1,4 @@
-"""Triple scoring, negative sampling, and the two training objectives.
+"""Scoring of id triples, negative sampling, and the two training objectives.
 
 Scores are negated distances between the relation's estimate of the tail
 and the tail itself, so 0 is the best possible score.  Scoring is one fused

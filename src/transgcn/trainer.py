@@ -275,7 +275,7 @@ def train(
     holds the best (or last-good) model.
     """
     config.validate()
-    if not kg.train:
+    if not len(kg.train):
         raise ConfigError("train split is empty")
     index = build_index(kg)
     ss = np.random.SeedSequence(config.seed)
@@ -316,7 +316,7 @@ def train(
         )
 
     pretrain_end = min(config.pretrain_epochs, config.epochs)
-    has_valid = bool(kg.valid)
+    has_valid = len(kg.valid) > 0
     best: Checkpoint | None = None
     n = config.negatives
 

@@ -17,7 +17,7 @@ from transgcn.autodiff import Tape, backward
 from transgcn.cli import main
 from transgcn.encoder import Assumption, ModelState, encode, encode_arrays
 from transgcn.evaluator import evaluate
-from transgcn.kg import KnowledgeGraph, Triple, build_index, known_triple_set, load_dataset
+from transgcn.kg import KnowledgeGraph, build_index, known_triple_set, load_dataset
 from transgcn.kinship import generate_kinship
 from transgcn.objective import (
     batch_margin_loss,
@@ -49,7 +49,7 @@ def _random_kg(rng, num_entities, num_relations, num_train, num_valid=0, num_tes
         seen = set()
         out = []
         while len(out) < n:
-            t = Triple(
+            t = (
                 int(rng.integers(num_entities)),
                 int(rng.integers(num_relations)),
                 int(rng.integers(num_entities)),

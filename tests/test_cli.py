@@ -392,9 +392,8 @@ class TestPredictCommand:
         for query in (["g2_00", "child", "?"], ["?", "parent", "g2_00"]):
             hole = query.index("?")
             known = set()
-            for triple in kg.train + kg.valid + kg.test:
-                names = [kg.entity_names[triple.head], kg.relation_names[triple.relation],
-                         kg.entity_names[triple.tail]]
+            for h, r, t in np.concatenate([kg.train, kg.valid, kg.test]).tolist():
+                names = [kg.entity_names[h], kg.relation_names[r], kg.entity_names[t]]
                 if all(a == b for i, (a, b) in enumerate(zip(names, query)) if i != hole):
                     known.add(names[hole])
             assert known, f"fixture should contain completions of {query}"
@@ -423,10 +422,10 @@ class TestPredictCommand:
 
     def test_true_completion_ranks_high_when_kept(self, good_run_dir, data_dir, capsys):
         kg = load_dataset(data_dir)
-        triple = kg.train[0]
-        head = kg.entity_names[triple.head]
-        rel = kg.relation_names[triple.relation]
-        tail = kg.entity_names[triple.tail]
+        h, r, t = kg.train[0]
+        head = kg.entity_names[h]
+        rel = kg.relation_names[r]
+        tail = kg.entity_names[t]
         code = main([
             "predict", "--checkpoint", str(good_run_dir / "model.ckpt"),
             "--data", str(data_dir), "--k", "3", "--keep-known", head, rel, "?",

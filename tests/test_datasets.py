@@ -8,6 +8,7 @@ otherwise so CI never depends on external downloads.
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transgcn.kg import known_triple_set, load_dataset
@@ -28,9 +29,9 @@ class TestBundledFixture:
 
     def test_every_split_entity_seen_in_train(self):
         kg = load_dataset(FIXTURE)
-        in_train = {t.head for t in kg.train} | {t.tail for t in kg.train}
-        for triple in kg.valid + kg.test:
-            assert triple.head in in_train and triple.tail in in_train
+        in_train = set(kg.train[:, 0].tolist()) | set(kg.train[:, 2].tolist())
+        for h, _, t in np.concatenate([kg.valid, kg.test]).tolist():
+            assert h in in_train and t in in_train
 
 
 def _benchmark_dir(env_var):

@@ -15,7 +15,7 @@ from transgcn.encoder import (
     materialize_relations,
 )
 from transgcn.errors import ShapeError
-from transgcn.kg import KnowledgeGraph, Triple, build_graph, build_index
+from transgcn.kg import KnowledgeGraph, build_graph, build_index
 from transgcn.transform import Assumption
 
 RESET = 1e-12
@@ -190,7 +190,7 @@ class TestStructuralProperties:
             type(kg)(
                 entity_names=kg.entity_names,
                 relation_names=kg.relation_names,
-                train=[kg.train[i] for i in perm],
+                train=kg.train[perm],
                 valid=[],
                 test=[],
             )
@@ -322,7 +322,7 @@ def message_passing_peak(edges: int, n: int = 2000, d: int = 16) -> int:
     ids = rng.integers(n, size=(edges, 3))
     kg = KnowledgeGraph(
         entity_names=[f"e{i}" for i in range(n)], relation_names=["r0", "r1", "r2"],
-        train=[Triple(h, r % 3, t) for h, r, t in ids.tolist()], valid=[], test=[],
+        train=[(h, r % 3, t) for h, r, t in ids.tolist()], valid=[], test=[],
     )
     index = build_index(kg)
     state = random_state(rng, n, 3, d, 1, Assumption.ROTATION)

@@ -15,7 +15,7 @@ from transgcn.evaluator import (
     evaluate,
     rank_from_scores,
 )
-from transgcn.kg import Triple, build_graph, build_index, known_triple_set
+from transgcn.kg import build_graph, build_index, known_triple_set
 from transgcn.transform import Assumption
 
 
@@ -250,7 +250,8 @@ class TestBlockedRanking:
         entities = rng.standard_normal((kg.num_entities, 6))
         entities[[4, 9, 11]] = entities[7]  # planted exact ties with a true entity
         relations = rng.standard_normal((kg.num_relations, 6))
-        for known in (known_triple_set(kg), frozenset(map(tuple, kg.train)), frozenset()):
+        for known in (known_triple_set(kg), frozenset(map(tuple, kg.train.tolist())),
+                      frozenset()):
             a = evaluate(kg, "test", entities, relations, assumption, norm, known=known)
             b = evaluate(kg, "test", entities, relations, assumption, norm, threads=3,
                          known=known)
@@ -270,7 +271,7 @@ class TestBlockedRanking:
         # every other tail of (e0, r1, ?) sits near e0 + r1 and beats the true e0
         entities[1:] = entities[0] + relations[1] + 0.01 * entities[1:]
         report = evaluate(kg, "test", entities, relations, Assumption.TRANSLATION, "l1")
-        assert kg.test[0] == (0, 1, 0) and report.tail_ranks[0] == 1
+        assert kg.test[0].tolist() == [0, 1, 0] and report.tail_ranks[0] == 1
         raw = evaluate(kg, "test", entities, relations, Assumption.TRANSLATION, "l1",
                        known=frozenset())
         assert raw.tail_ranks[0] == kg.num_entities
@@ -395,9 +396,8 @@ class TestKnownFilterLookup:
                 rows, ids = kf.lookup(fixed, r, side)
                 assert np.all(np.diff(rows) >= 0)
                 for i, f in enumerate(fixed):
-                    triple = Triple(f, r, 0) if side == "tail" else Triple(0, r, f)
                     got = ids[rows == i]
-                    np.testing.assert_array_equal(got, kf.blocked(triple, side))
+                    np.testing.assert_array_equal(got, kf.lookup([f], r, side)[1])
                     want = sorted(c for c in range(n)
                                   if ((f, r, c) if side == "tail" else (c, r, f)) in known)
                     assert got.tolist() == want
@@ -410,6 +410,24 @@ class TestKnownFilterLookup:
         assert rows.size == ids.size == 0
         rows, ids = KnownFilter(kg, known=frozenset()).lookup([0, 1], 0, "head")
         assert rows.size == ids.size == 0
+
+    def test_listed_twice_repeats_an_id_but_not_a_rank(self):
+        # (a, r, b) is in train twice and in test once
+        kg = build_graph([("a", "r", "b"), ("a", "r", "b"), ("b", "r", "c")], [],
+                         [("a", "r", "b"), ("c", "r", "a")])
+        default, deduped = KnownFilter(kg), KnownFilter(kg, known_triple_set(kg))
+        np.testing.assert_array_equal(np.unique(default.tail_keys), deduped.tail_keys)
+        np.testing.assert_array_equal(np.unique(default.head_keys), deduped.head_keys)
+        assert default.lookup([0], 0, "tail")[1].tolist() == [1, 1, 1]
+        assert deduped.lookup([0], 0, "tail")[1].tolist() == [1]
+        rng = np.random.default_rng(18)
+        entities = rng.standard_normal((kg.num_entities, 4))
+        relations = rng.standard_normal((kg.num_relations, 4))
+        a = evaluate(kg, "test", entities, relations, Assumption.TRANSLATION, "l1")
+        b = evaluate(kg, "test", entities, relations, Assumption.TRANSLATION, "l1",
+                     known=known_triple_set(kg))
+        np.testing.assert_array_equal(a.head_ranks, b.head_ranks)
+        np.testing.assert_array_equal(a.tail_ranks, b.tail_ranks)
 
 
 class TestDegreeBuckets:
@@ -449,10 +467,9 @@ class TestDegreeBuckets:
         buckets = degree_bucket_report(report, index)
         # recompute one bucket by hand
         per_query = []
-        for triple, rank in zip(report.triples, report.head_ranks):
-            per_query.append((index.degree[triple.head], rank))
-        for triple, rank in zip(report.triples, report.tail_ranks):
-            per_query.append((index.degree[triple.tail], rank))
+        for (h, _, t), head_rank, tail_rank in zip(report.triples, report.head_ranks,
+                                                   report.tail_ranks):
+            per_query += [(index.degree[h], head_rank), (index.degree[t], tail_rank)]
         for b in buckets:
             ranks = [r for d, r in per_query if b["min_degree"] <= d < b["max_degree"]]
             assert b["queries"] == len(ranks)

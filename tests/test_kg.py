@@ -1,5 +1,6 @@
 """Dataset loading, vocabulary assembly, and neighborhood indexing."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from transgcn.errors import ParseError
 from transgcn.kg import (
     KnowledgeGraph,
-    Triple,
     build_graph,
     build_index,
     known_triple_set,
@@ -95,8 +95,8 @@ class TestVocabulary:
         kg = load_dataset(tmp_path)
         assert kg.entity_names == ["A", "B", "C", "D"]
         assert kg.relation_names == ["r", "s"]
-        assert kg.valid == [Triple(2, 0, 0)]
-        assert kg.test == [Triple(3, 1, 1)]
+        assert kg.valid.tolist() == [[2, 0, 0]]
+        assert kg.test.tolist() == [[3, 1, 1]]
 
     def test_duplicates_preserved_with_warning(self, tmp_path, caplog):
         make_dataset(tmp_path, "A\tr\tB\nA\tr\tB\nA\tr\tB\n")
@@ -107,12 +107,53 @@ class TestVocabulary:
 
     def test_validate_passes_on_loaded_graph(self, tmp_path):
         make_dataset(tmp_path, FIVE_LINES, valid="A\tlikes\tC\n")
-        load_dataset(tmp_path).validate()
+        load_dataset(tmp_path)  # the constructor runs the checks
 
     def test_missing_split_file_is_an_error(self, tmp_path):
         write_split(tmp_path, "train.txt", FIVE_LINES)
         with pytest.raises(FileNotFoundError, match="valid.txt"):
             load_dataset(tmp_path)
+
+
+def tiny_graph(**splits):
+    """Entities a, b, c and relation r, with the given splits over them."""
+    kw = {"train": [(0, 0, 1), (1, 0, 2)], "valid": [], "test": [], **splits}
+    return KnowledgeGraph(["a", "b", "c"], ["r"], **kw)
+
+
+class TestSplitArrays:
+    def test_splits_are_read_only_int64_rows(self):
+        kg = tiny_graph(valid=[(2, 0, 0)])
+        for split in (kg.train, kg.valid, kg.test):
+            assert split.dtype == np.int64 and split.ndim == 2 and split.shape[1] == 3
+            assert split.flags.c_contiguous and not split.flags.writeable
+        assert kg.test.shape == (0, 3)
+        with pytest.raises(ValueError):
+            kg.train[0, 0] = 2
+
+    def test_caller_array_stays_writable(self):
+        rows = np.array([[0, 0, 1], [1, 0, 2]])
+        kg = tiny_graph(train=rows)
+        assert rows.flags.writeable and not kg.train.flags.writeable
+        assert kg.train.tolist() == rows.tolist()
+
+    def test_array_slice_is_accepted(self):
+        kg = tiny_graph(test=[(0, 0, 1), (1, 0, 2), (2, 0, 0)])
+        sub = dataclasses.replace(kg, test=kg.test[:2])
+        assert sub.test.tolist() == [[0, 0, 1], [1, 0, 2]]
+        assert not sub.test.flags.writeable
+
+    @pytest.mark.parametrize("rows", [[(-1, 0, 0)], [(7, 0, 0)], [(0, 1, 0)], [(0, 0)],
+                                      [(0, 0, 1), (0, 1)], [(0, 0, 1, 2)]])
+    def test_bad_rows_are_refused_naming_the_split(self, rows):
+        with pytest.raises(ValueError, match="^test split"):
+            tiny_graph(test=rows)
+
+    def test_duplicate_names_are_refused(self):
+        with pytest.raises(ValueError, match="duplicate entity names"):
+            KnowledgeGraph(["a", "a"], ["r"], [(0, 0, 1)], [], [])
+        with pytest.raises(ValueError, match="duplicate relation names"):
+            KnowledgeGraph(["a", "b"], ["r", "r"], [(0, 0, 1)], [], [])
 
 
 class TestRoundTrip:
@@ -130,9 +171,9 @@ class TestRoundTrip:
         again = load_dataset(out)
         assert again.entity_names == kg.entity_names
         assert again.relation_names == kg.relation_names
-        assert again.train == kg.train
-        assert again.valid == kg.valid
-        assert again.test == kg.test
+        assert np.array_equal(again.train, kg.train)
+        assert np.array_equal(again.valid, kg.valid)
+        assert np.array_equal(again.test, kg.test)
 
     def test_random_graphs_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -153,9 +194,9 @@ class TestRoundTrip:
             out = tmp_path / f"case{case}"
             write_dataset(kg, out)
             again = load_dataset(out)
-            assert again.train == kg.train
-            assert again.valid == kg.valid
-            assert again.test == kg.test
+            assert np.array_equal(again.train, kg.train)
+            assert np.array_equal(again.valid, kg.valid)
+            assert np.array_equal(again.test, kg.test)
 
 
 class TestNeighborhoodIndex:
@@ -202,7 +243,7 @@ class TestNeighborhoodIndex:
         shuffled = KnowledgeGraph(
             entity_names=kg.entity_names,
             relation_names=kg.relation_names,
-            train=[kg.train[i] for i in perm],
+            train=kg.train[perm],
             valid=[],
             test=[],
         )
@@ -221,9 +262,9 @@ class TestNeighborhoodIndex:
     def test_flat_edge_arrays_match_train(self):
         kg = build_graph([("A", "r", "B"), ("B", "s", "C")], [], [])
         index = build_index(kg)
-        assert index.heads.tolist() == [t.head for t in kg.train]
-        assert index.rels.tolist() == [t.relation for t in kg.train]
-        assert index.tails.tolist() == [t.tail for t in kg.train]
+        assert index.heads.tolist() == kg.train[:, 0].tolist()
+        assert index.rels.tolist() == kg.train[:, 1].tolist()
+        assert index.tails.tolist() == kg.train[:, 2].tolist()
 
     def test_sorted_orders_and_offsets(self):
         rng = np.random.default_rng(9)
@@ -234,9 +275,9 @@ class TestNeighborhoodIndex:
             ]
             kg = build_graph(rows, [], [("x", "r0", "y")])  # x, y have degree 0
             index = build_index(kg)
-            assert index.heads.tolist() == [t.head for t in kg.train]
-            assert index.rels.tolist() == [t.relation for t in kg.train]
-            assert index.tails.tolist() == [t.tail for t in kg.train]
+            assert index.heads.tolist() == kg.train[:, 0].tolist()
+            assert index.rels.tolist() == kg.train[:, 1].tolist()
+            assert index.tails.tolist() == kg.train[:, 2].tolist()
             n = kg.num_entities
             for perm, key, offsets in ((index.by_tail, index.tails, index.tail_offsets),
                                        (index.by_head, index.heads, index.head_offsets),

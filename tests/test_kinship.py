@@ -1,5 +1,6 @@
 """Synthetic kinship generator: counts, determinism, planted structure."""
 
+import numpy as np
 import pytest
 
 from transgcn.kinship import RELATION_NAMES, generate_kinship
@@ -8,11 +9,8 @@ from transgcn.kinship import RELATION_NAMES, generate_kinship
 def name_triples(kg, splits=("train", "valid", "test")):
     out = set()
     for split in splits:
-        for t in kg.split(split):
-            out.add(
-                (kg.entity_names[t.head], kg.relation_names[t.relation],
-                 kg.entity_names[t.tail])
-            )
+        for h, r, t in kg.split(split).tolist():
+            out.add((kg.entity_names[h], kg.relation_names[r], kg.entity_names[t]))
     return out
 
 
@@ -50,9 +48,9 @@ class TestShape:
 class TestDeterminism:
     def test_same_seed_identical(self, kg):
         again = generate_kinship(seed=0)
-        assert kg.train == again.train
-        assert kg.valid == again.valid
-        assert kg.test == again.test
+        assert np.array_equal(kg.train, again.train)
+        assert np.array_equal(kg.valid, again.valid)
+        assert np.array_equal(kg.test, again.test)
         assert kg.entity_names == again.entity_names
 
     def test_different_seed_differs(self, kg):
@@ -64,16 +62,16 @@ class TestSplitHygiene:
     def test_train_covers_all_names(self, kg):
         seen_entities = set()
         seen_relations = set()
-        for t in kg.train:
-            seen_entities.update((t.head, t.tail))
-            seen_relations.add(t.relation)
+        for h, r, t in kg.train.tolist():
+            seen_entities.update((h, t))
+            seen_relations.add(r)
         assert len(seen_entities) == kg.num_entities
         assert len(seen_relations) == kg.num_relations
 
     def test_splits_disjoint_no_duplicates(self, kg):
-        train = set(kg.train)
-        valid = set(kg.valid)
-        test = set(kg.test)
+        train = set(map(tuple, kg.train.tolist()))
+        valid = set(map(tuple, kg.valid.tolist()))
+        test = set(map(tuple, kg.test.tolist()))
         assert len(train) == len(kg.train)
         assert len(valid) == len(kg.valid)
         assert len(test) == len(kg.test)

@@ -221,9 +221,7 @@ class TestInitParameters:
         # r on this fixture is 0.74..0.84 across seeds
         kg = random_graph()
         index = build_index(kg)
-        heads = np.array([t.head for t in kg.train])
-        rels = np.array([t.relation for t in kg.train])
-        tails = np.array([t.tail for t in kg.train])
+        heads, rels, tails = kg.train.T
         for seed in range(3):
             cfg = TrainConfig(assumption="translation", dim=32, layers=1, seed=seed)
             state = init_parameters(
