@@ -25,6 +25,10 @@ check: test
 	  rm -f $$out; \
 	done; done
 
+# Line count of the package source, the design-size metric of ROADMAP.md.
+loc:
+	@cat src/transgcn/*.py | wc -l
+
 toy:
 	$(RUN) -m transgcn gen-toy --out runs/kinship --seed 0
 	$(RUN) -m transgcn train --data runs/kinship --out runs/kinship-model \
@@ -60,4 +64,4 @@ fullscale-wn18rr:
 	$(RUN) -m transgcn eval --checkpoint runs/wn18rr/model.ckpt \
 	  --data $(TRANSGCN_WN18RR_DIR) --split test --out runs/wn18rr
 
-.PHONY: test acceptance check toy fullscale-fb15k237 fullscale-wn18rr
+.PHONY: test acceptance check loc toy fullscale-fb15k237 fullscale-wn18rr

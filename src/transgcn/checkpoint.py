@@ -26,8 +26,8 @@ import struct
 
 import numpy as np
 
-from .encoder import ModelState
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .encoder import ModelState, parameter_shapes
+from .errors import CheckpointError, ConfigError, NumericError
 from .trainer import (
     CHECKPOINT_VERSION,
     CONFIG_FIELDS,
@@ -72,8 +72,11 @@ class _Reader:
         except UnicodeDecodeError as err:
             raise CheckpointError(f"checkpoint text is not UTF-8: {err}") from err
 
-    def array(self) -> np.ndarray:
+    def array(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        """The next array, refused unless it has the expected ``shape``."""
         rows, cols = self.unpack("QQ")
+        if (rows, cols) != shape:
+            raise CheckpointError(f"{name} array is {(rows, cols)}, expected {shape}")
         buf = self.take(rows * cols * 8)
         return np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
 
@@ -112,34 +115,18 @@ def from_bytes(data: bytes) -> Checkpoint:
     entity_names = [r.text() for _ in range(r.unpack("Q")[0])]
     relation_names = [r.text() for _ in range(r.unpack("Q")[0])]
     best_valid_mrr, epoch = r.unpack("dQ")
-    arrays = [r.array() for _ in range(2 + 2 * config.layers)]
+    shapes = parameter_shapes(config.assumption, config.dim, config.layers,
+                              len(entity_names), len(relation_names))
+    arrays = [r.array(name, shape) for name, shape in shapes.items()]
     try:
         state = ModelState.from_arrays(config.assumption, arrays)
     except NumericError as err:
         raise CheckpointError(f"unusable checkpoint arrays: {err}") from err
-    entities, relations = arrays[:2]
-    if entities.shape != (len(entity_names), config.dim):
-        raise CheckpointError(
-            f"entity array {entities.shape} does not match "
-            f"{len(entity_names)} names at dim {config.dim}"
-        )
-    if relations.shape != (len(relation_names), config.relation_dim):
-        raise CheckpointError(
-            f"relation array {relations.shape} does not match "
-            f"{len(relation_names)} names at width {config.relation_dim}"
-        )
-    try:
-        state.validate()
-    except ShapeError as err:
-        raise CheckpointError(f"inconsistent checkpoint arrays: {err}") from err
     (adam_step,) = r.unpack("Q")
     adam_m, adam_v = {}, {}
-    for name, tensor in state.parameters().items():
-        m = r.array()
-        v = r.array()
-        if m.shape != tensor.values.shape or v.shape != tensor.values.shape:
-            raise CheckpointError(f"adam moments for {name} have the wrong shape")
-        adam_m[name], adam_v[name] = m, v
+    for name, shape in shapes.items():
+        adam_m[name] = r.array(f"adam moments m of {name}", shape)
+        adam_v[name] = r.array(f"adam moments v of {name}", shape)
     if r.pos != len(data):
         raise CheckpointError("trailing data after checkpoint payload")
     return Checkpoint(

@@ -318,6 +318,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--layer-counts expects integers, got {args.layer_counts!r}")
     if not counts:
         raise ConfigError("--layer-counts is empty")
+    for count in counts:  # refuse a bad count before training any model
+        config.replace(layers=count)
     _check_memory(config.replace(layers=max(counts)), kg)
     rows = layer_sweep(kg, config, counts, split=args.split)
     print("layers\tmrr\thits@10")

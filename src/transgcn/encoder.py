@@ -66,10 +66,6 @@ class ModelState:
     def dim(self) -> int:
         return self.entity_embed.cols
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
     def parameters(self) -> dict[str, Tensor]:
         """Named leaves in checkpoint order."""
         named = {"entity_embed": self.entity_embed, "relation_params": self.relation_params}
@@ -78,28 +74,41 @@ class ModelState:
             named[f"w1_{i}"] = layer.w1
         return named
 
-    def validate(self, index: NeighborhoodIndex | None = None) -> None:
-        d = self.dim
-        if self.assumption is Assumption.ROTATION:
-            if d % 2:
-                raise ShapeError(f"rotation needs an even entity width, got {d}")
-            if self.relation_params.cols != d // 2:
-                raise ShapeError(
-                    f"rotation phases must have width {d // 2}, got {self.relation_params.cols}"
-                )
-        elif self.relation_params.cols != d:
-            raise ShapeError(
-                f"relation width {self.relation_params.cols} != entity width {d}"
-            )
-        for i, layer in enumerate(self.layers):
-            for tag, w in (("w0", layer.w0), ("w1", layer.w1)):
-                if w.shape != (d, d):
-                    raise ShapeError(f"layer {i} {tag} must be {d}x{d}, got {w.shape}")
+    def validate(self, index: NeighborhoodIndex | None = None, expected=None) -> None:
+        """Refuse parameter shapes other than ``expected`` (name -> shape).
+
+        ``expected`` defaults to the ``parameter_shapes`` of the state itself.
+        """
+        if expected is None:
+            expected = parameter_shapes(self.assumption, self.dim, len(self.layers),
+                                        self.entity_embed.rows, self.relation_params.rows)
+        shapes = {name: leaf.shape for name, leaf in self.parameters().items()}
+        for name in dict.fromkeys([*expected, *shapes]):
+            if shapes.get(name) != expected.get(name):
+                raise ShapeError(f"{name} is {shapes.get(name)}, expected {expected.get(name)}")
         if index is not None and index.num_entities != self.entity_embed.rows:
             raise ShapeError(
                 f"index covers {index.num_entities} entities, "
                 f"state has {self.entity_embed.rows}"
             )
+
+
+def parameter_shapes(
+    assumption: Assumption, dim: int, layers: int, num_entities: int, num_relations: int
+) -> dict[str, tuple[int, int]]:
+    """Name -> shape of every parameter array, in ``ModelState.parameters()`` order.
+
+    Entities are d wide; relations are d-wide vectors under translation and
+    d/2 phase angles under rotation; each layer holds a d x d w0 and w1.
+    """
+    if assumption is Assumption.ROTATION and dim % 2:
+        raise ShapeError(f"rotation needs an even entity width, got {dim}")
+    relation_width = dim // 2 if assumption is Assumption.ROTATION else dim
+    shapes = {"entity_embed": (num_entities, dim),
+              "relation_params": (num_relations, relation_width)}
+    for i in range(layers):
+        shapes.update({f"w0_{i}": (dim, dim), f"w1_{i}": (dim, dim)})
+    return shapes
 
 
 def materialize_relations(state: ModelState) -> Tensor:

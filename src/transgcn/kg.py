@@ -51,9 +51,12 @@ class KnowledgeGraph:
         bounds = np.array([self.num_entities, self.num_relations, self.num_entities])
         for name in ("train", "valid", "test"):
             try:
-                ids = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+                ids = np.asarray(getattr(self, name))
+                if ids.size and ids.dtype.kind not in "iu":  # an empty list reads as float64
+                    raise TypeError(f"ids must be integers, got dtype {ids.dtype}")
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{name} split is not a sequence of id triples: {err}") from None
+            ids = np.ascontiguousarray(ids, dtype=np.int64)
             if ids.shape == (0,):
                 ids = ids.reshape(0, 3)
             if ids.ndim != 2 or ids.shape[1] != 3:

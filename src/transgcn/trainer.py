@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward
-from .encoder import ModelState, encode, encode_arrays
+from .encoder import ModelState, encode, encode_arrays, parameter_shapes
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluator import evaluate
 from .kg import KnowledgeGraph, build_index
@@ -112,10 +112,6 @@ class TrainConfig:
 
     def replace(self, **changes) -> "TrainConfig":
         return dataclasses.replace(self, **changes)
-
-    @property
-    def relation_dim(self) -> int:
-        return self.dim // 2 if self.assumption is Assumption.ROTATION else self.dim
 
 
 # Field name -> parser of its text form, in field order: int or float for a
@@ -215,17 +211,21 @@ def init_parameters(
     rng: np.random.Generator,
 ) -> ModelState:
     """Fresh ModelState; draw order is entities, relations, then layer weights."""
-    d = config.dim
-    limit = 6.0 / math.sqrt(d)
-    arrays = [rng.uniform(-limit, limit, size=(num_entities, d))]
+    entities, relations, *weights = _shapes(config, num_entities, num_relations).values()
+    limit = 6.0 / math.sqrt(config.dim)
+    arrays = [rng.uniform(-limit, limit, size=entities)]
     if config.assumption is Assumption.ROTATION:
-        arrays.append(rng.uniform(0.0, 2.0 * math.pi, size=(num_relations, d // 2)))
+        arrays.append(rng.uniform(0.0, 2.0 * math.pi, size=relations))
     else:
-        relations = rng.uniform(-limit, limit, size=(num_relations, d))
-        arrays.append(relations / np.abs(relations).sum(axis=1, keepdims=True))
-    for _ in range(2 * config.layers):  # w0 then w1 for each layer
-        arrays.append(np.eye(d) + rng.uniform(-0.01, 0.01, size=(d, d)))
+        vectors = rng.uniform(-limit, limit, size=relations)
+        arrays.append(vectors / np.abs(vectors).sum(axis=1, keepdims=True))
+    arrays += [np.eye(*w) + rng.uniform(-0.01, 0.01, size=w) for w in weights]
     return ModelState.from_arrays(config.assumption, arrays)
+
+
+def _shapes(config: TrainConfig, num_entities: int, num_relations: int) -> dict:
+    return parameter_shapes(config.assumption, config.dim, config.layers,
+                            num_entities, num_relations)
 
 
 def _copy_state(state: ModelState) -> ModelState:
@@ -257,7 +257,7 @@ def estimate_peak_bytes(
     train edge for the index and the epoch order.
     """
     d, n = config.dim, num_entities
-    params = n * d + num_relations * config.relation_dim + 2 * config.layers * d * d
+    params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
     words = (13 * params + (12 * config.layers + 4) * n * d + 20 * score_rows
              + (10 * ad.TRIPLE_CHUNK + 12 * ad.NEIGHBOR_CHUNK) * d + 16 * num_edges)
@@ -269,10 +269,12 @@ def train(
 ) -> Checkpoint:
     """Run the two-phase schedule and return the best checkpoint.
 
-    ``init_state`` warm-starts from existing parameters (shapes must match
-    the config); fresh Adam moments either way.  A non-finite loss or update
-    aborts the run by raising TrainingAborted, whose ``checkpoint`` attribute
-    holds the best (or last-good) model.
+    ``init_state`` warm-starts from existing parameters, whose assumption
+    must be the config's and whose shapes must be the ``parameter_shapes``
+    of the config and graph, else ConfigError before any step; fresh Adam
+    moments either way.  A non-finite loss or update aborts the run by
+    raising TrainingAborted, whose ``checkpoint`` attribute holds the best
+    (or last-good) model.
     """
     config.validate()
     if not len(kg.train):
@@ -284,16 +286,12 @@ def train(
     sample_rng = np.random.default_rng(sample_seq)
     if init_state is not None:
         if init_state.assumption is not config.assumption:
-            raise ConfigError(
-                f"warm-start assumption {init_state.assumption.value} does not "
-                f"match config {config.assumption.value}"
-            )
-        if init_state.dim != config.dim or init_state.num_layers != config.layers:
-            raise ConfigError(
-                f"warm-start shape (dim {init_state.dim}, layers "
-                f"{init_state.num_layers}) does not match config "
-                f"(dim {config.dim}, layers {config.layers})"
-            )
+            raise ConfigError(f"warm-start assumption {init_state.assumption.value} does not "
+                              f"match config {config.assumption.value}")
+        try:
+            init_state.validate(expected=_shapes(config, kg.num_entities, kg.num_relations))
+        except ShapeError as err:
+            raise ConfigError(f"warm-start state does not fit config and graph: {err}") from None
         state = _copy_state(init_state)
     else:
         state = init_parameters(config, kg.num_entities, kg.num_relations, init_rng)
@@ -431,9 +429,8 @@ def param_count_report(
         raise ValueError(f"basis count must be >= 1, got {rgcn_basis_B}")
     e, r = num_entities, num_relations
     d, layer_count, b = config.dim, config.layers, rgcn_basis_B
-    own_entities = e * d
-    own_relations = r * config.relation_dim
-    own_layers = layer_count * 2 * d * d
+    own_entities, own_relations, *weights = (x * y for x, y in _shapes(config, e, r).values())
+    own_layers = sum(weights)
     block_sq = (d / b) ** 2
 
     def as_count(x: float):

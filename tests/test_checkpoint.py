@@ -87,6 +87,11 @@ class TestRoundTrip:
         reloaded = load_checkpoint(path)
         assert to_bytes(reloaded) == path.read_bytes()
 
+    def test_warm_started_checkpoint_round_trips(self, kinship, trained):
+        resumed = train(kinship, trained.config.replace(epochs=1), init_state=trained.state)
+        data = to_bytes(resumed)
+        assert to_bytes(from_bytes(data)) == data
+
     def test_reload_reproduces_evaluation(self, trained, kinship):
         index = build_index(kinship)
         e_a, r_a = encode_arrays(trained.state, index)
@@ -157,7 +162,7 @@ class TestCorruption:
         broken = dataclasses.replace(
             trained, entity_names=trained.entity_names[:-1]
         )
-        with pytest.raises(CheckpointError, match="entity array"):
+        with pytest.raises(CheckpointError, match="entity_embed array"):
             from_bytes(to_bytes(broken))
 
     def test_moment_shape_mismatch(self, trained):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -495,6 +496,14 @@ class TestSweepCommand:
         code = main(["sweep", "--data", str(data_dir), "--layer-counts", "a,b"])
         assert code == 2
         assert "layer-counts" in capsys.readouterr().err
+
+    def test_bad_layer_count_refused_before_training(self, data_dir, capsys, caplog):
+        with caplog.at_level(logging.INFO, logger="transgcn.trainer"):
+            code = main(["sweep", "--data", str(data_dir), "--layer-counts", "1,-1",
+                         "--dim", "8", "--epochs", "1", "--batch", "64"])
+        assert code == 2
+        assert "layers must be >= 0" in capsys.readouterr().err
+        assert not caplog.records  # no epoch line: nothing was trained
 
 
 class TestLoggingAndVersion:

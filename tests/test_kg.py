@@ -123,7 +123,7 @@ def tiny_graph(**splits):
 
 class TestSplitArrays:
     def test_splits_are_read_only_int64_rows(self):
-        kg = tiny_graph(valid=[(2, 0, 0)])
+        kg = tiny_graph(valid=[(2, 0, 0)], test=np.empty((0, 3)))  # empty: any dtype
         for split in (kg.train, kg.valid, kg.test):
             assert split.dtype == np.int64 and split.ndim == 2 and split.shape[1] == 3
             assert split.flags.c_contiguous and not split.flags.writeable
@@ -144,7 +144,9 @@ class TestSplitArrays:
         assert not sub.test.flags.writeable
 
     @pytest.mark.parametrize("rows", [[(-1, 0, 0)], [(7, 0, 0)], [(0, 1, 0)], [(0, 0)],
-                                      [(0, 0, 1), (0, 1)], [(0, 0, 1, 2)]])
+                                      [(0, 0, 1), (0, 1)], [(0, 0, 1, 2)],
+                                      [(0.7, 0, 1.9)], np.array([[0.0, 0.0, 1.0]]),
+                                      [(True, False, True)], [("0", "0", "1")]])
     def test_bad_rows_are_refused_naming_the_split(self, rows):
         with pytest.raises(ValueError, match="^test split"):
             tiny_graph(test=rows)

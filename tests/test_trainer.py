@@ -10,7 +10,7 @@ import pytest
 
 from transgcn import autodiff as ad
 from transgcn.checkpoint import to_bytes
-from transgcn.encoder import encode_arrays
+from transgcn.encoder import ModelState, encode_arrays, parameter_shapes
 from transgcn.errors import ConfigError, NumericError, ShapeError
 from transgcn.evaluator import evaluate
 from transgcn.kg import build_graph, build_index
@@ -71,10 +71,6 @@ class TestTrainConfig:
 
     def test_assumption_string_coerced(self):
         assert TrainConfig(assumption="rotation").assumption is Assumption.ROTATION
-
-    def test_relation_dim(self):
-        assert TrainConfig(assumption="translation", dim=16).relation_dim == 16
-        assert TrainConfig(assumption="rotation", dim=16).relation_dim == 8
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -165,6 +161,17 @@ class TestAdamStep:
 
 
 class TestInitParameters:
+    def test_parameter_shapes_match_init_parameters(self):
+        for assumption in Assumption:
+            for layers in range(3):
+                cfg = TrainConfig(assumption=assumption, dim=8, layers=layers)
+                state = init_parameters(cfg, 7, 3, np.random.default_rng(0))
+                shapes = [(name, p.shape) for name, p in state.parameters().items()]
+                assert shapes == list(parameter_shapes(assumption, 8, layers, 7, 3).items())
+        assert parameter_shapes(Assumption.ROTATION, 8, 0, 7, 3)["relation_params"] == (3, 4)
+        with pytest.raises(ShapeError, match="even"):
+            parameter_shapes(Assumption.ROTATION, 7, 0, 7, 3)
+
     def test_same_seed_bit_identical(self):
         cfg = TrainConfig(assumption="rotation", dim=8, layers=2)
         a = init_parameters(cfg, 12, 3, np.random.default_rng(4))
@@ -366,7 +373,7 @@ class TestTrain:
             assert np.all(np.isfinite(tensor.values))
         assert isinstance(info.value, NumericError)
 
-    def test_warm_start_runs_and_shapes_checked(self, small_kinship):
+    def test_warm_start_runs_and_shapes_checked(self, small_kinship, caplog):
         cfg = TrainConfig(assumption="translation", dim=8, layers=1, epochs=2, seed=8)
         first = train(small_kinship, cfg)
         resumed = train(small_kinship, cfg, init_state=first.state)
@@ -376,11 +383,24 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(small_kinship, cfg.replace(dim=16), init_state=first.state)
         with pytest.raises(ConfigError):
+            train(small_kinship, cfg.replace(layers=2), init_state=first.state)
+        with pytest.raises(ConfigError):
             train(
                 small_kinship,
                 TrainConfig(assumption="rotation", dim=8, layers=1, epochs=1),
                 init_state=first.state,
             )
+        entities, relations, *weights = [p.values for p in first.state.parameters().values()]
+        extra = np.vstack([relations, relations[:2]])
+        for bad, name in [([entities, relations[:-2]], "relation_params"),
+                          ([entities, extra], "relation_params"),
+                          ([entities[:-1], relations], "entity_embed")]:
+            state = ModelState.from_arrays(first.state.assumption, bad + weights)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="transgcn.trainer"):
+                with pytest.raises(ConfigError, match=f"warm-start.*{name}"):
+                    train(small_kinship, cfg, init_state=state)
+            assert not caplog.records  # refused before the first epoch
 
     def test_empty_train_split_rejected(self):
         kg = build_graph([], [("a", "r", "b")], [])
