@@ -9,7 +9,8 @@ the first accumulation, and ``backward`` skips results no gradient reached.
 Tapes are rebuilt every training step and are confined to a single thread.
 
 All op outputs are checked for NaN/Inf at the op boundary; leaves are
-checked at construction.
+checked at construction.  Complex rows are stored split-half, [re | im];
+the fused ops gather and multiply them as separate re and im planes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import NumericError, ShapeError, StateError
 
 RESET_MODULUS = 1e-12  # below this a normalized complex coordinate becomes 1+0i
-NEIGHBOR_CHUNK = 256  # edges per neighbor_sum chunk; bounds its temporaries to chunk x d
 TRIPLE_CHUNK = 256  # triples per triple_scores chunk; bounds its temporaries to chunk x d
 
 _tape_stack: list["Tape"] = []
@@ -204,16 +204,36 @@ def _split(t: Tensor, op: str) -> int:
     return t.cols // 2
 
 
+def _planar_product(ar, ai, br, bi, conj: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The re and im planes of a ∘ b, or of a ∘ b̄ when ``conj``, from those of a and b.
+
+    The sign of b̄ is folded into the sums, the same bits as negating bi first.
+    Sums are taken in place: a fresh array per operation costs more than the
+    arithmetic at chunk size."""
+    re = ar * br
+    im = ai * br
+    if conj:
+        re += ai * bi
+        im -= ar * bi
+    else:
+        re -= ai * bi
+        im += ar * bi
+    return re, im
+
+
+def _planes(rows: np.ndarray, ids=...) -> tuple[np.ndarray, np.ndarray]:
+    """re and im halves of split-half ``rows[ids]``; without ``ids``, views."""
+    k = rows.shape[-1] // 2
+    return rows[ids, :k], rows[ids, k:]
+
+
 def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coordinate-wise complex product of split-half [re | im] arrays.
 
     The halves are taken along the last axis; ``b`` may broadcast against
     ``a`` (one relation row against a whole entity table).
     """
-    k = a.shape[-1] // 2
-    ar, ai = a[..., :k], a[..., k:]
-    br, bi = b[..., :k], b[..., k:]
-    return np.concatenate([ar * br - ai * bi, ar * bi + ai * br], axis=-1)
+    return np.concatenate(_planar_product(*_planes(a), *_planes(b)), axis=-1)
 
 
 def complex_hadamard(a: Tensor, b: Tensor) -> Tensor:
@@ -225,8 +245,8 @@ def complex_hadamard(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         # d/da = g * conj(b), d/db = g * conj(a)
-        _accumulate(a, complex_product(g, _conjugated(b.values.copy())))
-        _accumulate(b, complex_product(g, _conjugated(a.values.copy())))
+        _accumulate(a, np.hstack(_planar_product(*_planes(g), *_planes(b.values), conj=True)))
+        _accumulate(b, np.hstack(_planar_product(*_planes(g), *_planes(a.values), conj=True)))
 
     return _make_result(out, (a, b), "complex_hadamard", backward_fn)
 
@@ -259,7 +279,7 @@ def gather_rows(m: Tensor, ids) -> Tensor:
 
     def backward_fn(g):
         if m.requires_grad:
-            _scatter_add(_grad_of(m), ids, g)
+            _scatter_add(_grad_of(m), ids, (g,))
 
     return _make_result(m.values[ids], (m,), "gather_rows", backward_fn)
 
@@ -280,32 +300,22 @@ def segment_sum(rows: Tensor, segment_ids, num_segments: int) -> Tensor:
     return _make_result(out, (rows,), "segment_sum", backward_fn)
 
 
-def _conjugated(a: np.ndarray) -> np.ndarray:
-    """Negate the imaginary half of a freshly made split-half array, in place."""
-    a[:, a.shape[1] // 2:] *= -1.0
-    return a
-
-
-def _compose(rows: np.ndarray, r: np.ndarray, rotation: bool,
-             inverse: bool = False) -> np.ndarray:
-    """rows ∘ r, or rows ∘ r̄ when ``inverse`` (translation: rows + r, rows − r).
-
-    ``r`` must be a freshly made array (it is conjugated in place); under
-    translation ``rows`` is updated in place and returned.
-    """
+def _composed(table: np.ndarray, ids: np.ndarray, rel_rows: np.ndarray, rel_ids: np.ndarray,
+              rotation: bool, inverse: bool = False) -> tuple[np.ndarray, ...]:
+    """The re and im planes of table[ids] ∘ r, or ∘ r̄ when ``inverse``; under
+    translation the one plane table[ids] + r (− r when ``inverse``)."""
     if rotation:
-        return complex_product(rows, _conjugated(r) if inverse else r)
-    if inverse:
-        rows -= r
-    else:
-        rows += r
-    return rows
+        return _planar_product(*_planes(table, ids), *_planes(rel_rows, rel_ids), inverse)
+    rows = table[ids]
+    (np.subtract if inverse else np.add)(rows, rel_rows[rel_ids], out=rows)
+    return (rows,)
 
 
-def _segment_add(out: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> None:
-    """out[k] += the sum of the rows whose key is k; ``keys`` ascend."""
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    out[keys[starts]] += np.add.reduceat(rows, starts, axis=0)
+def _segment_add(out: np.ndarray, starts: np.ndarray, keys: np.ndarray, planes) -> None:
+    """out[keys[j]] += the sum of run j (rows starts[j] to starts[j + 1]) of each
+    plane, a re and an im plane into the two halves of ``out``."""
+    for block, rows in zip(_planes(out) if len(planes) == 2 else (out,), planes):
+        block[keys] += np.add.reduceat(rows, starts, axis=0)
 
 
 def _neighbor_pass(values: np.ndarray, rel_rows: np.ndarray | None, index,
@@ -314,35 +324,36 @@ def _neighbor_pass(values: np.ndarray, rel_rows: np.ndarray | None, index,
 
     An edge h -r-> t sends values[h] ∘ r (translation: + r) to t and
     values[t] ∘ r̄ (translation: − r) to h; with no ``rel_rows`` it sends
-    the rows unchanged.  Edges are walked in NEIGHBOR_CHUNK runs of the
-    by-tail and by-head orders, each run summed by destination.
+    the rows unchanged.  The index's by-tail and by-head walks are taken
+    chunk by chunk, each chunk summed by destination.
     """
     out = np.zeros_like(values)
-    for order, src, dst, inverse in ((index.by_tail, index.heads, index.tails, False),
-                                     (index.by_head, index.tails, index.heads, True)):
-        for start in range(0, order.size, NEIGHBOR_CHUNK):
-            edges = order[start : start + NEIGHBOR_CHUNK]
-            rows = values[src[edges]]
-            if rel_rows is not None:
-                rows = _compose(rows, rel_rows[index.rels[edges]], rotation, inverse)
-            _segment_add(out, dst[edges], rows)
+    for walk, inverse in ((index.by_tail, False), (index.by_head, True)):
+        for edges, starts, keys in walk.chunks():
+            src = walk.src[edges]
+            if rel_rows is None:
+                planes = (values[src],)
+            else:
+                planes = _composed(values, src, rel_rows, walk.rels[edges], rotation, inverse)
+            _segment_add(out, starts, keys, planes)
     return out
 
 
 def _relation_pass(g: np.ndarray, ent: np.ndarray, index, rotation: bool,
                    shape: tuple[int, int]) -> np.ndarray:
-    """Relation gradient of neighbor_sum: edges walked in by-relation order."""
+    """Relation gradient of neighbor_sum: the index's by-relation walk."""
     out = np.zeros(shape)
-    for start in range(0, index.by_rel.size, NEIGHBOR_CHUNK):
-        edges = index.by_rel[start : start + NEIGHBOR_CHUNK]
-        h, t = index.heads[edges], index.tails[edges]
+    walk = index.by_rel
+    for edges, starts, keys in walk.chunks():
+        h, t = walk.src[edges], walk.dst[edges]
         if rotation:
             # e_h ∘ r lands on t: g[t] ∘ ē_h; e_t ∘ r̄ lands on h: conj(g[h] ∘ ē_t)
-            rows = _compose(g[t], ent[h], True, inverse=True)
-            rows += _compose(ent[t], g[h], True, inverse=True)
+            planes = [np.add(into_t, into_h, out=into_t) for into_t, into_h in zip(
+                _planar_product(*_planes(g, t), *_planes(ent, h), conj=True),
+                _planar_product(*_planes(ent, t), *_planes(g, h), conj=True))]
         else:
-            rows = g[t] - g[h]
-        _segment_add(out, index.rels[edges], rows)
+            planes = (g[t] - g[h],)
+        _segment_add(out, starts, keys, planes)
     return out
 
 
@@ -351,9 +362,10 @@ def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> 
 
     Entity i receives entities[h] ∘ r for every train edge h -r-> i and
     entities[t] ∘ r̄ for every edge i -r-> t (translation: + r and − r);
-    ``index`` is a ``kg.NeighborhoodIndex``.  Edges are walked in chunks and
+    ``index`` is a ``kg.NeighborhoodIndex``, whose walks fix the chunks and
+    so the order of every sum.  Chunks are composed as re and im planes and
     summed with ``np.add.reduceat``, so no edge x d array is kept: the
-    backward recomputes each chunk's gathered rows.
+    backward recomputes each chunk.
     """
     if relations.cols != entities.cols:
         raise ShapeError(f"neighbor_sum: relation width {relations.cols} != "
@@ -376,8 +388,8 @@ def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> 
                         "neighbor_sum", backward_fn)
 
 
-def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """out[ids[i]] += rows[i] in row order, as np.add.at does.
+def _scatter_add(out: np.ndarray, ids: np.ndarray, planes) -> None:
+    """out[ids[i]] += row i of ``planes`` side by side, in row order, as np.add.at does.
 
     It runs np.add.at on the flat view of ``out``, which takes a quarter of
     the time of the row-wise form and adds in the same order.
@@ -385,7 +397,10 @@ def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     cols = out.shape[1]
     flat = out.reshape(-1)
     assert np.shares_memory(flat, out)  # gradients are allocated C-contiguous
-    np.add.at(flat, (ids[:, None] * cols + np.arange(cols)).ravel(), rows.ravel())
+    width = cols // len(planes)
+    for p, rows in enumerate(planes):
+        np.add.at(flat, (ids[:, None] * cols + p * width + np.arange(width)).ravel(),
+                  rows.ravel())
 
 
 def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
@@ -395,7 +410,8 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
     ``norm`` is "l1" or "l2"; under translation the composition is e_h + r.
     The rows are walked in TRIPLE_CHUNK runs, so no B x d array is kept: the
     backward recomputes each run's difference and scatters its gradients
-    straight into the entity and relation gradients.
+    straight into the entity and relation gradients.  Products are planar;
+    norms sum whole split-half rows, as per-plane sums round differently.
     """
     if norm not in ("l1", "l2"):
         raise ValueError(f"unknown norm {norm!r}, expected 'l1' or 'l2'")
@@ -412,8 +428,10 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
     runs = [slice(s, s + TRIPLE_CHUNK) for s in range(0, h.size, TRIPLE_CHUNK)]
 
     def diff(run: slice) -> np.ndarray:
-        rows = _compose(ent[h[run]], rel[r[run]], rotation)
-        rows -= ent[t[run]]
+        rows = ent[t[run]]
+        composed = _composed(ent, h[run], rel, r[run], rotation)
+        for block, plane in zip(_planes(rows) if rotation else (rows,), composed):
+            np.subtract(plane, block, out=block)
         return rows
 
     norms = np.empty((h.size, 1))
@@ -435,12 +453,14 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
             gd = np.sign(d) if norm == "l1" else d
             gd *= g[run]  # the gradient of the difference
             if entities.requires_grad:
-                _scatter_add(_grad_of(entities), t[run], -gd)
+                _scatter_add(_grad_of(entities), t[run], (-gd,))
                 _scatter_add(_grad_of(entities), h[run],
-                             _compose(gd, rel[r[run]], True, inverse=True) if rotation else gd)
+                             _planar_product(*_planes(gd), *_planes(rel, r[run]), conj=True)
+                             if rotation else (gd,))
             if relations.requires_grad:
                 _scatter_add(_grad_of(relations), r[run],
-                             _compose(gd, ent[h[run]], True, inverse=True) if rotation else gd)
+                             _planar_product(*_planes(gd), *_planes(ent, h[run]), conj=True)
+                             if rotation else (gd,))
 
     return _make_result(-norms, (entities, relations), "triple_scores", backward_fn)
 

@@ -4,9 +4,9 @@ Each layer turns every train edge into two directed estimates (incoming and
 outgoing), sums the estimates per entity, scales by 1/degree, applies the
 shared projection W0, and updates entities as relu(message + previous).
 The sums are one fused op, ``autodiff.neighbor_sum``: it walks the edges in
-fixed-size chunks, pre-sorted by destination in ``kg.build_index``, and
-reduces each chunk with ``np.add.reduceat``, so no edge x d array is kept
-for the backward pass, which recomputes each chunk's rows.
+the fixed-size chunks that ``kg.build_index`` plans once, composes each
+chunk's rows as re and im planes and sums them with ``np.add.reduceat``, so
+no edge x d array is kept for the backward pass, which recomputes each chunk.
 Relations evolve through their own projection W1; under rotation the rows
 are renormalized to unit modulus afterwards.  Zero-degree entities receive
 a zero message.  With no layers, encoding returns the layer-0 embeddings

@@ -160,52 +160,74 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
                 fh.write(f"{kg.entity_names[h]}\t{kg.relation_names[r]}\t{kg.entity_names[t]}\n")
 
 
+NEIGHBOR_CHUNK = 256  # edges per message-passing chunk; bounds its temporaries to chunk x d
+
+
+class EdgeWalk:
+    """The train edges sorted stably by ``key`` (``dst`` or ``rels``) and cut
+    every ``chunk`` edges: NEIGHBOR_CHUNK, as read when the walk is made.
+
+    Edge i of the walk runs from ``src[i]`` under ``rels[i]`` to ``dst[i]``.
+    Chunk c's runs of one key start at the chunk-local offsets
+    ``starts[bounds[c]:bounds[c + 1]]``; the same slice of ``keys`` holds
+    each run's key, the output row that the run sums into.
+    """
+
+    def __init__(self, key: np.ndarray, src: np.ndarray, rels: np.ndarray, dst: np.ndarray):
+        self.chunk = chunk = NEIGHBOR_CHUNK
+        order = np.argsort(key, kind="stable")
+        self.src, self.rels, self.dst = src[order], rels[order], dst[order]
+        key = key[order]
+        first = np.diff(key, prepend=-1) != 0
+        first[::chunk] = True  # every chunk starts a run
+        starts = np.flatnonzero(first)
+        self.starts, self.keys = starts % chunk, key[starts]
+        self.bounds = np.searchsorted(starts, np.arange(0, key.size + chunk, chunk))
+
+    def chunks(self):
+        """(edge slice, run starts, run keys) of each chunk, in walk order."""
+        bounds = self.bounds.tolist()
+        for c, lo in enumerate(range(0, self.src.size, self.chunk)):
+            runs = slice(bounds[c], bounds[c + 1])
+            yield slice(lo, lo + self.chunk), self.starts[runs], self.keys[runs]
+
+
 @dataclass
 class NeighborhoodIndex:
     """Train-split adjacency used by the encoder.
 
     The flat ``heads``/``rels``/``tails`` arrays mirror the train split in
     file order: edge k runs from ``heads[k]`` to ``tails[k]`` under relation
-    ``rels[k]``.  ``by_tail``, ``by_head`` and ``by_rel`` are stable
-    permutations of the edge ids sorted by that key; ``tail_offsets[i]`` and
-    ``head_offsets[i]`` (length entities + 1) are where entity i's run starts
-    in the by-tail and by-head orders.  ``degree[i]`` counts the edges that
-    end at entity i plus those that start there (a self-loop counts twice).
+    ``rels[k]``.  ``by_tail``, ``by_head`` and ``by_rel`` are the message
+    passing walks: the edges sorted by tail (sending heads to tails), by head
+    (sending tails to heads) and by relation (heads to tails, summed per
+    relation).  ``degree[i]`` counts the edges that end at entity i plus
+    those that start there (a self-loop counts twice).
     """
 
     degree: np.ndarray
     heads: np.ndarray = field(repr=False)
     rels: np.ndarray = field(repr=False)
     tails: np.ndarray = field(repr=False)
-    by_tail: np.ndarray = field(repr=False)
-    tail_offsets: np.ndarray = field(repr=False)
-    by_head: np.ndarray = field(repr=False)
-    head_offsets: np.ndarray = field(repr=False)
-    by_rel: np.ndarray = field(repr=False)
+    by_tail: EdgeWalk = field(repr=False)
+    by_head: EdgeWalk = field(repr=False)
+    by_rel: EdgeWalk = field(repr=False)
 
     @property
     def num_entities(self) -> int:
         return len(self.degree)
 
 
-def _sorted_by(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable permutation sorting ``key``, and each key's run offset (size + 1)."""
-    offsets = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=size), out=offsets[1:])
-    return np.argsort(key, kind="stable"), offsets
-
-
 def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
     """Index train-split neighborhoods; valid/test edges never participate."""
     heads, rels, tails = np.ascontiguousarray(kg.train.T)
-    by_tail, tail_offsets = _sorted_by(tails, kg.num_entities)
-    by_head, head_offsets = _sorted_by(heads, kg.num_entities)
+    n = kg.num_entities
     return NeighborhoodIndex(
-        degree=np.diff(tail_offsets) + np.diff(head_offsets),
+        degree=np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n),
         heads=heads, rels=rels, tails=tails,
-        by_tail=by_tail, tail_offsets=tail_offsets,
-        by_head=by_head, head_offsets=head_offsets,
-        by_rel=np.argsort(rels, kind="stable"),
+        by_tail=EdgeWalk(tails, heads, rels, tails),
+        by_head=EdgeWalk(heads, tails, rels, heads),
+        by_rel=EdgeWalk(rels, heads, rels, tails),
     )
 
 

@@ -25,7 +25,7 @@ from .autodiff import Tape, backward
 from .encoder import ModelState, encode, encode_arrays, parameter_shapes
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluator import evaluate
-from .kg import KnowledgeGraph, build_index
+from .kg import NEIGHBOR_CHUNK, KnowledgeGraph, build_index
 from .objective import (
     batch_margin_loss,
     batch_self_adv_loss,
@@ -253,14 +253,15 @@ def estimate_peak_bytes(
     Adam moments, the best snapshot and Adam's temporaries), 12 entity
     tables per layer plus 4 for validation, 20 words per score row (the
     batch x (1 + negatives) sampled ids, scores and loss columns), the
-    chunk x d temporaries of scoring and message passing, and 16 words per
-    train edge for the index and the epoch order.
+    chunk x d temporaries of scoring and message passing, and 28 words per
+    train edge: 3 for the index's edge arrays, up to 5 for each of its three
+    planned walks, and 10 for the epoch order and the index build.
     """
     d, n = config.dim, num_entities
     params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
     words = (13 * params + (12 * config.layers + 4) * n * d + 20 * score_rows
-             + (10 * ad.TRIPLE_CHUNK + 12 * ad.NEIGHBOR_CHUNK) * d + 16 * num_edges)
+             + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 28 * num_edges)
     return 8 * words
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transgcn.autodiff as ad
+import transgcn.kg as kg_module
+import unfused
 from transgcn.errors import NumericError, ShapeError, StateError
 from transgcn.kg import build_graph, build_index
 from transgcn.transform import Assumption
@@ -488,15 +490,34 @@ def unfused_neighbor_sum(entities, relations, index, rotation):
     return ad.add(ad.segment_sum(est_in, index.tails, n), ad.segment_sum(est_out, index.heads, n))
 
 
+def random_neighbor_graph():
+    """300 random edges over 40 entities and 5 relations."""
+    rng = np.random.default_rng(5)
+    rows = [(f"e{rng.integers(40)}", f"r{rng.integers(5)}", f"e{rng.integers(40)}")
+            for _ in range(300)]
+    kg = build_graph(rows, [], [])
+    return kg, build_index(kg)
+
+
+def fused_values_and_gradients(op, ent, rel, w, *args):
+    """``op(ent, rel, *args)`` and the entity and relation gradients of sum(w * op)."""
+    e, r = ad.tensor(ent, requires_grad=True), ad.tensor(rel, requires_grad=True)
+    with ad.Tape() as tape:
+        out = op(e, r, *args)
+        loss = ad.sum_all(ad.hadamard(out, ad.tensor(w)))
+    ad.backward(tape, loss)
+    return out.values, e.grad, r.grad
+
+
 @pytest.fixture
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(ad, "NEIGHBOR_CHUNK", 4)
+    monkeypatch.setattr(kg_module, "NEIGHBOR_CHUNK", 4)  # before the index is built
 
 
 class TestNeighborSum:
     def test_a_run_spans_chunks(self):
         kg, index = neighbor_graph()
-        ends = index.tails[index.by_tail]
+        ends = index.by_tail.dst
         # e0's six incoming edges cross the boundary between chunks of four
         run = np.flatnonzero(ends == kg.entity_names.index("e0"))
         assert run.size == 6 and run[0] // 4 != run[-1] // 4
@@ -517,25 +538,35 @@ class TestNeighborSum:
     @pytest.mark.parametrize("chunked", [False, True])
     def test_equals_unfused_composition(self, rotation, chunked, monkeypatch):
         if chunked:
-            monkeypatch.setattr(ad, "NEIGHBOR_CHUNK", 3)
-        rng = np.random.default_rng(5)
-        rows = [(f"e{rng.integers(40)}", f"r{rng.integers(5)}", f"e{rng.integers(40)}")
-                for _ in range(300)]
-        kg = build_graph(rows, [], [])
-        index = build_index(kg)
+            monkeypatch.setattr(kg_module, "NEIGHBOR_CHUNK", 3)
+        kg, index = random_neighbor_graph()
+        rng = np.random.default_rng(6)
         ent = rng.standard_normal((kg.num_entities, 6))
         rel = rng.standard_normal((kg.num_relations, 6))
         w = rng.standard_normal((kg.num_entities, 6))
-        results = []
-        for op in (ad.neighbor_sum, unfused_neighbor_sum):
-            e, r = ad.tensor(ent, requires_grad=True), ad.tensor(rel, requires_grad=True)
-            with ad.Tape() as tape:
-                out = op(e, r, index, rotation)
-                loss = ad.sum_all(ad.hadamard(out, ad.tensor(w)))
-            ad.backward(tape, loss)
-            results.append((out.values, e.grad, r.grad))
-        for fused, unfused in zip(*results):
-            np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-12)
+        results = [fused_values_and_gradients(op, ent, rel, w, index, rotation)
+                   for op in (ad.neighbor_sum, unfused_neighbor_sum)]
+        for fused, reference in zip(*results):
+            np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("graph", [neighbor_graph, random_neighbor_graph])
+    @pytest.mark.parametrize("chunk", [3, 4, kg_module.NEIGHBOR_CHUNK])
+    @pytest.mark.parametrize("rotation", [False, True])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_same_bits_as_the_split_half_chunk_loop(self, graph, chunk, rotation, dim,
+                                                    monkeypatch):
+        # neighbor_graph has a degree-0 entity, a self-loop, a duplicate edge and
+        # a destination whose six edges span two chunks of four, three of three
+        monkeypatch.setattr(kg_module, "NEIGHBOR_CHUNK", chunk)
+        kg, index = graph()
+        rng = np.random.default_rng(chunk + dim)
+        ent = rng.standard_normal((kg.num_entities, dim))
+        rel = rng.standard_normal((kg.num_relations, dim))
+        w = rng.standard_normal((kg.num_entities, dim))
+        fused = fused_values_and_gradients(ad.neighbor_sum, ent, rel, w, index, rotation)
+        reference = unfused.neighbor_sum_and_gradients(ent, rel, index, rotation, w)
+        for got, want in zip(fused, reference):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("rotation", [False, True])
     def test_degree_zero_self_loop_and_duplicate(self, rotation, small_chunks):
@@ -624,10 +655,26 @@ class TestTripleScores:
                 loss = ad.sum_all(ad.hadamard(out, w))
             ad.backward(tape, loss)
             results.append((out.values, e.grad, rr.grad))
-        (fused, ge, gr), (unfused, ue, ur) = results
-        assert np.array_equal(fused, unfused)
+        (fused, ge, gr), (chain, ue, ur) = results
+        assert np.array_equal(fused, chain)
         np.testing.assert_allclose(ge, ue, rtol=0, atol=1e-12)
         np.testing.assert_allclose(gr, ur, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [3, 4, ad.TRIPLE_CHUNK])
+    @pytest.mark.parametrize("rotation", [False, True])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_same_bits_as_the_split_half_chunk_loop(self, chunk, rotation, norm, dim,
+                                                    monkeypatch):
+        monkeypatch.setattr(ad, "TRIPLE_CHUNK", chunk)
+        rng = np.random.default_rng(chunk + dim)
+        ent, rel = rng.standard_normal((30, dim)), rng.standard_normal((4, dim))
+        h, r, t = triple_batch(rng, 30, 4, 300)
+        w = rng.uniform(0.5, 1.5, size=(300, 1))
+        fused = fused_values_and_gradients(ad.triple_scores, ent, rel, w, h, r, t, rotation, norm)
+        reference = unfused.triple_scores_and_gradients(ent, rel, h, r, t, rotation, norm, w)
+        for got, want in zip(fused, reference):
+            assert np.array_equal(got, want)
 
     def test_memory_does_not_grow_with_the_batch(self):
         rng = np.random.default_rng(25)

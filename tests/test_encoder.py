@@ -15,7 +15,7 @@ from transgcn.encoder import (
     materialize_relations,
 )
 from transgcn.errors import ShapeError
-from transgcn.kg import KnowledgeGraph, build_graph, build_index
+from transgcn.kg import NEIGHBOR_CHUNK, KnowledgeGraph, build_graph, build_index
 from transgcn.transform import Assumption
 
 RESET = 1e-12
@@ -341,6 +341,6 @@ def message_passing_peak(edges: int, n: int = 2000, d: int = 16) -> int:
 def test_message_passing_memory_does_not_grow_with_edges():
     # an edge x d tensor would grow the peak 3-4x from the first size to
     # the second; entity-sized arrays and fixed chunks keep it flat
-    small = message_passing_peak(16 * ad.NEIGHBOR_CHUNK)
-    large = message_passing_peak(64 * ad.NEIGHBOR_CHUNK)
+    small = message_passing_peak(16 * NEIGHBOR_CHUNK)
+    large = message_passing_peak(64 * NEIGHBOR_CHUNK)
     assert large < 1.5 * small, (small, large)

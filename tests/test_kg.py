@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+import transgcn.kg as kg_module
 from transgcn.errors import ParseError
 from transgcn.kg import (
     KnowledgeGraph,
@@ -268,9 +269,11 @@ class TestNeighborhoodIndex:
         assert index.rels.tolist() == kg.train[:, 1].tolist()
         assert index.tails.tolist() == kg.train[:, 2].tolist()
 
-    def test_sorted_orders_and_offsets(self):
+    def test_sorted_orders_and_offsets(self, monkeypatch):
         rng = np.random.default_rng(9)
-        for _ in range(10):
+        for chunk in [3, 7, kg_module.NEIGHBOR_CHUNK] * 4:
+            # the walks are planned when the index is built, from the chunk size then
+            monkeypatch.setattr(kg_module, "NEIGHBOR_CHUNK", chunk)
             rows = [
                 (f"e{rng.integers(25)}", f"r{rng.integers(4)}", f"e{rng.integers(25)}")
                 for _ in range(int(rng.integers(1, 150)))
@@ -280,22 +283,33 @@ class TestNeighborhoodIndex:
             assert index.heads.tolist() == kg.train[:, 0].tolist()
             assert index.rels.tolist() == kg.train[:, 1].tolist()
             assert index.tails.tolist() == kg.train[:, 2].tolist()
-            n = kg.num_entities
-            for perm, key, offsets in ((index.by_tail, index.tails, index.tail_offsets),
-                                       (index.by_head, index.heads, index.head_offsets),
-                                       (index.by_rel, index.rels, None)):
-                assert sorted(perm.tolist()) == list(range(len(kg.train)))
+            n, num_edges = kg.num_entities, len(kg.train)
+            for walk, key, src, dst in (
+                (index.by_tail, index.tails, index.heads, index.tails),
+                (index.by_head, index.heads, index.tails, index.heads),
+                (index.by_rel, index.rels, index.heads, index.tails),
+            ):
+                perm = np.argsort(key, kind="stable")
                 keys = key[perm]
                 assert np.all(np.diff(keys) >= 0)
                 # stable: file order within each key's run
                 assert np.all(np.diff(perm)[np.diff(keys) == 0] > 0)
-                if offsets is not None:
-                    assert offsets.tolist() == np.searchsorted(keys, np.arange(n + 1)).tolist()
-            assert np.array_equal(
-                np.diff(index.tail_offsets) + np.diff(index.head_offsets), index.degree)
+                assert walk.src.tolist() == src[perm].tolist()
+                assert walk.rels.tolist() == index.rels[perm].tolist()
+                assert walk.dst.tolist() == dst[perm].tolist()
+                chunks = list(walk.chunks())
+                # a cut every NEIGHBOR_CHUNK edges
+                assert [edges for edges, _, _ in chunks] == [
+                    slice(lo, lo + chunk) for lo in range(0, num_edges, chunk)]
+                for edges, starts, run_keys in chunks:
+                    assert starts.tolist() == np.flatnonzero(
+                        np.diff(keys[edges], prepend=-1)).tolist()
+                    assert run_keys.tolist() == keys[edges][starts].tolist()
             assert np.array_equal(
                 index.degree,
                 np.bincount(index.heads, minlength=n) + np.bincount(index.tails, minlength=n))
+            assert index.degree[[kg.entity_names.index("x"), kg.entity_names.index("y")]].tolist() \
+                == [0, 0]
 
 
 class TestKnownTripleSet:

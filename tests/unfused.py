@@ -1,10 +1,15 @@
-"""Unfused reference scoring, the op chain that ``autodiff.triple_scores`` fuses.
+"""Reference implementations that the fused autodiff ops are compared against.
 
-Tests compare the fused op against it: forward values must be bit-identical
-and gradients equal up to summation order.
+``score`` and ``score_triples`` are the unfused op chain that
+``autodiff.triple_scores`` fuses: forward values must be bit-identical and
+gradients equal up to summation order.  The chunk loops further down are
+bit-for-bit references for ``neighbor_sum`` and ``triple_scores``.
 """
 
+import numpy as np
+
 import transgcn.autodiff as ad
+import transgcn.kg as kg
 from transgcn.transform import Assumption, estimate_from_incoming
 
 
@@ -25,3 +30,111 @@ def score_triples(entities, relations, heads, rels, tails, assumption: Assumptio
     """``score`` of id triples through three gathers."""
     return score(ad.gather_rows(entities, heads), ad.gather_rows(relations, rels),
                  ad.gather_rows(entities, tails), assumption, norm)
+
+
+# The split-half chunk loops that ``autodiff.neighbor_sum`` and
+# ``autodiff.triple_scores`` ran before their products were formed plane by
+# plane and their edge walks planned in ``kg.build_index``.  The fused ops
+# must give the same bits.  Chunk sizes are read when called, so a test that
+# patches ``kg.NEIGHBOR_CHUNK`` or ``autodiff.TRIPLE_CHUNK`` patches both sides.
+
+def complex_product(a, b):
+    """Coordinate-wise complex product of split-half [re | im] rows."""
+    k = a.shape[-1] // 2
+    ar, ai = a[..., :k], a[..., k:]
+    br, bi = b[..., :k], b[..., k:]
+    return np.concatenate([ar * br - ai * bi, ar * bi + ai * br], axis=-1)
+
+
+def _conjugated(a):
+    a[:, a.shape[1] // 2:] *= -1.0
+    return a
+
+
+def _compose(rows, r, rotation, inverse=False):
+    if rotation:
+        return complex_product(rows, _conjugated(r) if inverse else r)
+    if inverse:
+        rows -= r
+    else:
+        rows += r
+    return rows
+
+
+def _segment_add(out, keys, rows):
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    out[keys[starts]] += np.add.reduceat(rows, starts, axis=0)
+
+
+def neighbor_pass(values, rel_rows, index, rotation):
+    """The neighbor_sum forward (and, over g, its entity gradient)."""
+    chunk = kg.NEIGHBOR_CHUNK
+    out = np.zeros_like(values)
+    for key, src, dst, inverse in ((index.tails, index.heads, index.tails, False),
+                                   (index.heads, index.tails, index.heads, True)):
+        order = np.argsort(key, kind="stable")
+        for start in range(0, order.size, chunk):
+            edges = order[start : start + chunk]
+            rows = values[src[edges]]
+            if rel_rows is not None:
+                rows = _compose(rows, rel_rows[index.rels[edges]], rotation, inverse)
+            _segment_add(out, dst[edges], rows)
+    return out
+
+
+def relation_pass(g, ent, index, rotation, shape):
+    """The neighbor_sum relation gradient over upstream gradient g."""
+    chunk = kg.NEIGHBOR_CHUNK
+    out = np.zeros(shape)
+    order = np.argsort(index.rels, kind="stable")
+    for start in range(0, order.size, chunk):
+        edges = order[start : start + chunk]
+        h, t = index.heads[edges], index.tails[edges]
+        if rotation:
+            rows = _compose(g[t], ent[h], True, inverse=True)
+            rows += _compose(ent[t], g[h], True, inverse=True)
+        else:
+            rows = g[t] - g[h]
+        _segment_add(out, index.rels[edges], rows)
+    return out
+
+
+def neighbor_sum_and_gradients(ent, rel, index, rotation, g):
+    """neighbor_sum's value and its entity and relation gradients under g."""
+    return (neighbor_pass(ent, rel, index, rotation),
+            neighbor_pass(g, rel if rotation else None, index, rotation),
+            relation_pass(g, ent, index, rotation, rel.shape))
+
+
+def triple_scores_and_gradients(ent, rel, h, r, t, rotation, norm, g):
+    """triple_scores' (B, 1) value and its entity and relation gradients under g."""
+    runs = [slice(s, s + ad.TRIPLE_CHUNK) for s in range(0, h.size, ad.TRIPLE_CHUNK)]
+
+    def diff(run):
+        rows = _compose(ent[h[run]], rel[r[run]], rotation)
+        rows -= ent[t[run]]
+        return rows
+
+    norms = np.empty((h.size, 1))
+    for run in runs:
+        d = diff(run)
+        if norm == "l1":
+            np.abs(d, out=d)
+            norms[run, 0] = d.sum(axis=1)
+        else:
+            np.square(d, out=d)
+            norms[run, 0] = np.sqrt(d.sum(axis=1))
+    g = -g
+    if norm == "l2":
+        g /= np.where(norms > 0, norms, 1.0)
+    ent_grad, rel_grad = np.zeros_like(ent), np.zeros_like(rel)
+    for run in runs:
+        d = diff(run)
+        gd = np.sign(d) if norm == "l1" else d
+        gd *= g[run]
+        np.add.at(ent_grad, t[run], -gd)
+        np.add.at(ent_grad, h[run], _compose(gd, rel[r[run]], True, inverse=True)
+                  if rotation else gd)
+        np.add.at(rel_grad, r[run], _compose(gd, ent[h[run]], True, inverse=True)
+                  if rotation else gd)
+    return -norms, ent_grad, rel_grad
