@@ -39,11 +39,11 @@ toy:
 
 # Full-scale reproduction targets. These are research-length jobs, not CI
 # checks. On a synthetic FB15k-237-shaped graph (d=500, batch 512, 16
-# negatives) one one-layer rotation step took about 9.5 s on a 2-core host,
-# so an epoch of 532 steps takes about 84 minutes. fullscale-fb15k237 runs
+# negatives) one one-layer rotation step took 5.2-6.8 s on a 2-core host,
+# so an epoch of 532 steps takes about 46-60 minutes. fullscale-fb15k237 runs
 # 100 zero-layer epochs, then 100 two-layer epochs; a two-layer step does
 # more work than a one-layer step, so the two-layer epochs alone take at
-# least about 140 CPU-hours. The two-layer step time and the WN18RR-shaped
+# least about 77 CPU-hours. The two-layer step time and the WN18RR-shaped
 # step time are unmeasured. Reference targets: FB15k-237 filtered MRR
 # 0.356 +/- 0.02, WN18RR filtered MRR 0.485 +/- 0.02.
 fullscale-fb15k237:

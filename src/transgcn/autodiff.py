@@ -11,6 +11,7 @@ Tapes are rebuilt every training step and are confined to a single thread.
 All op outputs are checked for NaN/Inf at the op boundary; leaves are
 checked at construction.  Complex rows are stored split-half, [re | im];
 the fused ops gather and multiply them as separate re and im planes.
+``neighbor_sum`` walks each edge both ways, the reverse under an inverse row.
 """
 
 from __future__ import annotations
@@ -301,13 +302,12 @@ def segment_sum(rows: Tensor, segment_ids, num_segments: int) -> Tensor:
 
 
 def _composed(table: np.ndarray, ids: np.ndarray, rel_rows: np.ndarray, rel_ids: np.ndarray,
-              rotation: bool, inverse: bool = False) -> tuple[np.ndarray, ...]:
-    """The re and im planes of table[ids] ∘ r, or ∘ r̄ when ``inverse``; under
-    translation the one plane table[ids] + r (− r when ``inverse``)."""
+              rotation: bool) -> tuple[np.ndarray, ...]:
+    """The re and im planes of table[ids] ∘ r, or under translation table[ids] + r."""
     if rotation:
-        return _planar_product(*_planes(table, ids), *_planes(rel_rows, rel_ids), inverse)
+        return _planar_product(*_planes(table, ids), *_planes(rel_rows, rel_ids))
     rows = table[ids]
-    (np.subtract if inverse else np.add)(rows, rel_rows[rel_ids], out=rows)
+    np.add(rows, rel_rows[rel_ids], out=rows)
     return (rows,)
 
 
@@ -318,24 +318,18 @@ def _segment_add(out: np.ndarray, starts: np.ndarray, keys: np.ndarray, planes) 
         block[keys] += np.add.reduceat(rows, starts, axis=0)
 
 
-def _neighbor_pass(values: np.ndarray, rel_rows: np.ndarray | None, index,
+def _neighbor_pass(values: np.ndarray, rel_rows: np.ndarray | None, walk,
                    rotation: bool) -> np.ndarray:
-    """Per entity, the sum of composed neighbor rows over both edge directions.
-
-    An edge h -r-> t sends values[h] ∘ r (translation: + r) to t and
-    values[t] ∘ r̄ (translation: − r) to h; with no ``rel_rows`` it sends
-    the rows unchanged.  The index's by-tail and by-head walks are taken
-    chunk by chunk, each chunk summed by destination.
-    """
+    """Per destination v, the sum over the walk's edges u -ρ-> v of values[u] ∘ ρ
+    (translation: + ρ; with no ``rel_rows``, values[u]), summed chunk by chunk."""
     out = np.zeros_like(values)
-    for walk, inverse in ((index.by_tail, False), (index.by_head, True)):
-        for edges, starts, keys in walk.chunks():
-            src = walk.src[edges]
-            if rel_rows is None:
-                planes = (values[src],)
-            else:
-                planes = _composed(values, src, rel_rows, walk.rels[edges], rotation, inverse)
-            _segment_add(out, starts, keys, planes)
+    for edges, starts, keys in walk.chunks():
+        src = walk.src[edges]
+        if rel_rows is None:
+            planes = (values[src],)
+        else:
+            planes = _composed(values, src, rel_rows, walk.rels[edges], rotation)
+        _segment_add(out, starts, keys, planes)
     return out
 
 
@@ -362,29 +356,33 @@ def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> 
 
     Entity i receives entities[h] ∘ r for every train edge h -r-> i and
     entities[t] ∘ r̄ for every edge i -r-> t (translation: + r and − r);
-    ``index`` is a ``kg.NeighborhoodIndex``, whose walks fix the chunks and
-    so the order of every sum.  Chunks are composed as re and im planes and
+    ``index`` is a ``kg.NeighborhoodIndex``, whose ``by_dst`` walk holds
+    both, the reverse under relation id R + r, and fixes the chunks and so
+    the order of every sum.  Chunks are composed as re and im planes and
     summed with ``np.add.reduceat``, so no edge x d array is kept: the
     backward recomputes each chunk.
     """
     if relations.cols != entities.cols:
         raise ShapeError(f"neighbor_sum: relation width {relations.cols} != "
                          f"entity width {entities.cols}")
-    if index.num_entities != entities.rows:
-        raise ShapeError(f"neighbor_sum: index covers {index.num_entities} entities, "
-                         f"got {entities.rows} rows")
+    if (index.num_entities, index.num_relations) != (entities.rows, relations.rows):
+        raise ShapeError(f"neighbor_sum: index covers {index.num_entities} entities and "
+                         f"{index.num_relations} relations, got {entities.rows} and "
+                         f"{relations.rows} rows")
     if rotation:
         _split(entities, "neighbor_sum")
-    ent, rel = entities.values, relations.values
+    ent, rel, walk = entities.values, relations.values, index.by_dst
+    both = np.concatenate([rel, rel])  # rows R + r: r̄ under rotation, −r under translation
+    both[len(rel):, rel.shape[1] // 2 if rotation else 0:] *= -1.0
 
     def backward_fn(g):
         if entities.requires_grad:
-            # the adjoint sends g[t] ∘ r̄ to h and g[h] ∘ r to t: the same pass over g
-            _accumulate(entities, _neighbor_pass(g, rel if rotation else None, index, rotation))
+            # every edge's reverse is in the walk, so the adjoint is the same pass over g
+            _accumulate(entities, _neighbor_pass(g, both if rotation else None, walk, rotation))
         if relations.requires_grad:
             _accumulate(relations, _relation_pass(g, ent, index, rotation, rel.shape))
 
-    return _make_result(_neighbor_pass(ent, rel, index, rotation), (entities, relations),
+    return _make_result(_neighbor_pass(ent, both, walk, rotation), (entities, relations),
                         "neighbor_sum", backward_fn)
 
 

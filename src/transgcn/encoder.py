@@ -3,10 +3,10 @@
 Each layer turns every train edge into two directed estimates (incoming and
 outgoing), sums the estimates per entity, scales by 1/degree, applies the
 shared projection W0, and updates entities as relu(message + previous).
-The sums are one fused op, ``autodiff.neighbor_sum``: it walks the edges in
-the fixed-size chunks that ``kg.build_index`` plans once, composes each
-chunk's rows as re and im planes and sums them with ``np.add.reduceat``, so
-no edge x d array is kept for the backward pass, which recomputes each chunk.
+The sums are one fused op, ``autodiff.neighbor_sum``: it walks each edge both
+ways, the reverse under an inverse relation, in the chunks ``kg.build_index``
+plans once, composes each chunk's rows as re and im planes and sums them with
+``np.add.reduceat``, so no edge x d array is kept for the backward pass.
 Relations evolve through their own projection W1; under rotation the rows
 are renormalized to unit modulus afterwards.  Zero-degree entities receive
 a zero message.  With no layers, encoding returns the layer-0 embeddings

@@ -90,11 +90,14 @@ def candidate_scores(
     n, d = entities.shape
     tile, per_block = block_shape(n, d)
     scores = np.empty((len(rows), n), dtype=np.result_type(entities, relations))
+    # one difference buffer per call: each block writes a contiguous prefix of it
+    buffer = np.empty(min(len(rows), per_block) * min(n, tile) * d, dtype=scores.dtype)
     for lo in range(0, n, tile):
         cands = entities[lo:lo + tile] if side == "tail" else compose(entities[lo:lo + tile], rel)
         for q in range(0, len(rows), per_block):
             block = rows[q:q + per_block]
-            diff = np.subtract(block, cands) if side == "tail" else np.subtract(cands, block)
+            diff = buffer[:len(block) * len(cands) * d].reshape(len(block), len(cands), d)
+            np.subtract(*((block, cands) if side == "tail" else (cands, block)), out=diff)
             (np.abs if norm == "l1" else np.square)(diff, out=diff)
             diff.sum(axis=2, out=scores[q:q + per_block, lo:lo + tile])
     if norm == "l2":

@@ -4,7 +4,8 @@ A dataset directory holds three UTF-8 TSV files (train.txt, valid.txt,
 test.txt), one ``head<TAB>relation<TAB>tail`` triple per line.  String names
 are interned into integer ids shared across the splits, and each split is held
 as one read-only (n, 3) int64 array of (head, relation, tail) id rows; all
-downstream code works on these arrays.
+downstream code works on these arrays.  The neighborhood index walks each
+train edge both ways, the reverse under inverse relation id R + r.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ NEIGHBOR_CHUNK = 256  # edges per message-passing chunk; bounds its temporaries 
 
 
 class EdgeWalk:
-    """The train edges sorted stably by ``key`` (``dst`` or ``rels``) and cut
-    every ``chunk`` edges: NEIGHBOR_CHUNK, as read when the walk is made.
+    """Edges sorted stably by ``key``, cut every ``chunk`` (NEIGHBOR_CHUNK when made) edges.
 
     Edge i of the walk runs from ``src[i]`` under ``rels[i]`` to ``dst[i]``.
     Chunk c's runs of one key start at the chunk-local offsets
@@ -196,21 +196,17 @@ class EdgeWalk:
 class NeighborhoodIndex:
     """Train-split adjacency used by the encoder.
 
-    The flat ``heads``/``rels``/``tails`` arrays mirror the train split in
-    file order: edge k runs from ``heads[k]`` to ``tails[k]`` under relation
-    ``rels[k]``.  ``by_tail``, ``by_head`` and ``by_rel`` are the message
-    passing walks: the edges sorted by tail (sending heads to tails), by head
-    (sending tails to heads) and by relation (heads to tails, summed per
-    relation).  ``degree[i]`` counts the edges that end at entity i plus
-    those that start there (a self-loop counts twice).
+    Each train edge h -r-> t is walked in both directions, as h -r-> t and
+    as t -(R + r)-> h, where ``num_relations`` is R and id R + r names the
+    inverse of r.  ``by_dst`` holds these 2E directed edges sorted by
+    destination (forward edges before inverse ones, each in file order),
+    ``by_rel`` the E train edges sorted by relation.  ``degree[i]`` counts
+    the directed edges that end at entity i (a self-loop counts twice).
     """
 
     degree: np.ndarray
-    heads: np.ndarray = field(repr=False)
-    rels: np.ndarray = field(repr=False)
-    tails: np.ndarray = field(repr=False)
-    by_tail: EdgeWalk = field(repr=False)
-    by_head: EdgeWalk = field(repr=False)
+    num_relations: int
+    by_dst: EdgeWalk = field(repr=False)
     by_rel: EdgeWalk = field(repr=False)
 
     @property
@@ -221,12 +217,11 @@ class NeighborhoodIndex:
 def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
     """Index train-split neighborhoods; valid/test edges never participate."""
     heads, rels, tails = np.ascontiguousarray(kg.train.T)
-    n = kg.num_entities
+    src, dst = np.concatenate([heads, tails]), np.concatenate([tails, heads])
     return NeighborhoodIndex(
-        degree=np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n),
-        heads=heads, rels=rels, tails=tails,
-        by_tail=EdgeWalk(tails, heads, rels, tails),
-        by_head=EdgeWalk(heads, tails, rels, heads),
+        degree=np.bincount(dst, minlength=kg.num_entities),
+        num_relations=kg.num_relations,
+        by_dst=EdgeWalk(dst, src, np.concatenate([rels, rels + kg.num_relations]), dst),
         by_rel=EdgeWalk(rels, heads, rels, tails),
     )
 

@@ -253,15 +253,15 @@ def estimate_peak_bytes(
     Adam moments, the best snapshot and Adam's temporaries), 12 entity
     tables per layer plus 4 for validation, 20 words per score row (the
     batch x (1 + negatives) sampled ids, scores and loss columns), the
-    chunk x d temporaries of scoring and message passing, and 28 words per
-    train edge: 3 for the index's edge arrays, up to 5 for each of its three
-    planned walks, and 10 for the epoch order and the index build.
+    chunk x d temporaries of scoring and message passing, and 25 words per
+    train edge: up to 5 per edge of the index's walks (2E edges by destination,
+    E by relation), and 10 for the epoch order and the index build.
     """
     d, n = config.dim, num_entities
     params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
     words = (13 * params + (12 * config.layers + 4) * n * d + 20 * score_rows
-             + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 28 * num_edges)
+             + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 25 * num_edges)
     return 8 * words
 
 
@@ -325,7 +325,7 @@ def train(
         The tape and every intermediate die on return, so the Adam update's
         temporaries do not stack on top of the step's graph.
         """
-        ph, pr, pt = index.heads[chunk], index.rels[chunk], index.tails[chunk]
+        ph, pr, pt = kg.train[chunk].T
         nh, nr, nt = sample_negatives(ph, pr, pt, n, kg.num_entities, sample_rng)
         with Tape() as tape:
             entities, relations = encode(step_state, index)

@@ -91,7 +91,7 @@ def test_01_gradients_match_finite_differences():
             gamma=1.5, alpha=1.0, negatives=2, seed=0,
         )
         state = init_parameters(config, num_e, num_r, rng)
-        ph, pr, pt = index.heads[:6], index.rels[:6], index.tails[:6]
+        ph, pr, pt = kg.train[:6].T
         nh, nr, nt = sample_negatives(ph, pr, pt, 2, num_e, rng)
         asm = state.assumption
 

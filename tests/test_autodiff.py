@@ -466,7 +466,8 @@ class TestProperties:
 def neighbor_graph():
     """Edges (file order) with a duplicated edge, a self-loop, entity e5 of
     degree 0 (it appears only in the test split), and six edges ending at e0
-    so that e0's by-tail run spans chunks of four edges."""
+    and one leaving it, so that e0's run in the destination walk spans chunks
+    of four edges."""
     train = [
         ("e1", "r0", "e0"), ("e2", "r1", "e0"), ("e1", "r0", "e0"), ("e3", "r2", "e0"),
         ("e2", "r2", "e2"), ("e4", "r1", "e0"), ("e0", "r0", "e3"), ("e3", "r1", "e0"),
@@ -476,18 +477,20 @@ def neighbor_graph():
     return kg, build_index(kg)
 
 
-def unfused_neighbor_sum(entities, relations, index, rotation):
-    """Reference composition: per-edge gathers, compose, segment sums."""
-    heads = ad.gather_rows(entities, index.heads)
-    rels = ad.gather_rows(relations, index.rels)
-    tails = ad.gather_rows(entities, index.tails)
+def unfused_neighbor_sum(entities, relations, train, rotation):
+    """Reference composition over (E, 3) train rows: per-edge gathers,
+    compose, segment sums."""
+    h, r, t = train.T
+    heads = ad.gather_rows(entities, h)
+    rels = ad.gather_rows(relations, r)
+    tails = ad.gather_rows(entities, t)
     if rotation:
         est_in = ad.complex_hadamard(heads, rels)
         est_out = ad.complex_hadamard(tails, ad.complex_conjugate(rels))
     else:
         est_in, est_out = ad.add(heads, rels), ad.sub(tails, rels)
-    n = index.num_entities
-    return ad.add(ad.segment_sum(est_in, index.tails, n), ad.segment_sum(est_out, index.heads, n))
+    n = entities.rows
+    return ad.add(ad.segment_sum(est_in, t, n), ad.segment_sum(est_out, h, n))
 
 
 def random_neighbor_graph():
@@ -517,10 +520,10 @@ def small_chunks(monkeypatch):
 class TestNeighborSum:
     def test_a_run_spans_chunks(self):
         kg, index = neighbor_graph()
-        ends = index.by_tail.dst
-        # e0's six incoming edges cross the boundary between chunks of four
+        ends = index.by_dst.dst
+        # e0's six incoming and one outgoing edge cross the boundary between chunks of four
         run = np.flatnonzero(ends == kg.entity_names.index("e0"))
-        assert run.size == 6 and run[0] // 4 != run[-1] // 4
+        assert run.size == 7 and run[0] // 4 != run[-1] // 4
 
     @pytest.mark.parametrize("rotation", [False, True])
     def test_gradients_match_finite_differences(self, rotation, small_chunks):
@@ -544,8 +547,9 @@ class TestNeighborSum:
         ent = rng.standard_normal((kg.num_entities, 6))
         rel = rng.standard_normal((kg.num_relations, 6))
         w = rng.standard_normal((kg.num_entities, 6))
-        results = [fused_values_and_gradients(op, ent, rel, w, index, rotation)
-                   for op in (ad.neighbor_sum, unfused_neighbor_sum)]
+        results = [fused_values_and_gradients(ad.neighbor_sum, ent, rel, w, index, rotation),
+                   fused_values_and_gradients(unfused_neighbor_sum, ent, rel, w, kg.train,
+                                              rotation)]
         for fused, reference in zip(*results):
             np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
 
@@ -556,7 +560,7 @@ class TestNeighborSum:
     def test_same_bits_as_the_split_half_chunk_loop(self, graph, chunk, rotation, dim,
                                                     monkeypatch):
         # neighbor_graph has a degree-0 entity, a self-loop, a duplicate edge and
-        # a destination whose six edges span two chunks of four, three of three
+        # a destination whose seven edges span two chunks of four, three of three
         monkeypatch.setattr(kg_module, "NEIGHBOR_CHUNK", chunk)
         kg, index = graph()
         rng = np.random.default_rng(chunk + dim)
@@ -564,7 +568,7 @@ class TestNeighborSum:
         rel = rng.standard_normal((kg.num_relations, dim))
         w = rng.standard_normal((kg.num_entities, dim))
         fused = fused_values_and_gradients(ad.neighbor_sum, ent, rel, w, index, rotation)
-        reference = unfused.neighbor_sum_and_gradients(ent, rel, index, rotation, w)
+        reference = unfused.neighbor_sum_and_gradients(ent, rel, kg.train, rotation, w)
         for got, want in zip(fused, reference):
             assert np.array_equal(got, want)
 
@@ -609,6 +613,16 @@ class TestNeighborSum:
         odd = ad.tensor(np.ones((kg.num_entities, 3)))
         with pytest.raises(ShapeError):
             ad.neighbor_sum(odd, ad.tensor(np.ones((kg.num_relations, 3))), index, True)
+
+    @pytest.mark.parametrize("rotation", [False, True])
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_refuses_a_relation_table_the_index_does_not_cover(self, rotation, extra):
+        # with R + 1 rows, inverse id R + r would read the forward row r + 1
+        kg, index = neighbor_graph()
+        ent = ad.tensor(np.ones((kg.num_entities, 4)))
+        rel = ad.tensor(np.ones((kg.num_relations + extra, 4)))
+        with pytest.raises(ShapeError, match="relations"):
+            ad.neighbor_sum(ent, rel, index, rotation)
 
 
 def triple_batch(rng, num_entities, num_relations, size):

@@ -20,13 +20,17 @@ from transgcn.kg import (
 
 
 def neighbors(index, i):
-    """(incoming, outgoing) of entity i, read off the flat edge arrays.
+    """(incoming, outgoing) of entity i, read off the destination walk.
 
     Incoming holds (head, relation) of the edges ending at i, outgoing holds
-    (tail, relation) of the edges starting at i.
+    (tail, relation) of the edges starting at i, which reach i under the
+    inverse id R + relation.
     """
-    edges = list(zip(index.heads.tolist(), index.rels.tolist(), index.tails.tolist()))
-    return [(h, r) for h, r, t in edges if t == i], [(t, r) for h, r, t in edges if h == i]
+    walk, num_relations = index.by_dst, index.num_relations
+    at_i = walk.dst == i
+    pairs = list(zip(walk.src[at_i].tolist(), walk.rels[at_i].tolist()))
+    return ([(u, r) for u, r in pairs if r < num_relations],
+            [(u, r - num_relations) for u, r in pairs if r >= num_relations])
 
 
 FIVE_LINES = "A\tlikes\tB\nB\tlikes\tC\nC\tlikes\tA\nA\tknows\tC\nB\tknows\tA\n"
@@ -262,13 +266,6 @@ class TestNeighborhoodIndex:
         index = build_index(kg)
         assert index.degree[0] == 2
 
-    def test_flat_edge_arrays_match_train(self):
-        kg = build_graph([("A", "r", "B"), ("B", "s", "C")], [], [])
-        index = build_index(kg)
-        assert index.heads.tolist() == kg.train[:, 0].tolist()
-        assert index.rels.tolist() == kg.train[:, 1].tolist()
-        assert index.tails.tolist() == kg.train[:, 2].tolist()
-
     def test_sorted_orders_and_offsets(self, monkeypatch):
         rng = np.random.default_rng(9)
         for chunk in [3, 7, kg_module.NEIGHBOR_CHUNK] * 4:
@@ -280,34 +277,38 @@ class TestNeighborhoodIndex:
             ]
             kg = build_graph(rows, [], [("x", "r0", "y")])  # x, y have degree 0
             index = build_index(kg)
-            assert index.heads.tolist() == kg.train[:, 0].tolist()
-            assert index.rels.tolist() == kg.train[:, 1].tolist()
-            assert index.tails.tolist() == kg.train[:, 2].tolist()
-            n, num_edges = kg.num_entities, len(kg.train)
-            for walk, key, src, dst in (
-                (index.by_tail, index.tails, index.heads, index.tails),
-                (index.by_head, index.heads, index.tails, index.heads),
-                (index.by_rel, index.rels, index.heads, index.tails),
+            heads, rels, tails = kg.train.T
+            n, num_relations, num_edges = kg.num_entities, kg.num_relations, len(kg.train)
+            assert index.num_relations == num_relations
+            # every edge h -r-> t, then its reverse t -(R + r)-> h, in file order
+            directed = (np.concatenate([heads, tails]),
+                        np.concatenate([rels, rels + num_relations]),
+                        np.concatenate([tails, heads]))
+            for walk, key, (src, rel, dst) in (
+                (index.by_dst, directed[2], directed),
+                (index.by_rel, rels, (heads, rels, tails)),
             ):
                 perm = np.argsort(key, kind="stable")
                 keys = key[perm]
                 assert np.all(np.diff(keys) >= 0)
-                # stable: file order within each key's run
+                # stable: forward before reverse edges, each in file order, within a key
                 assert np.all(np.diff(perm)[np.diff(keys) == 0] > 0)
                 assert walk.src.tolist() == src[perm].tolist()
-                assert walk.rels.tolist() == index.rels[perm].tolist()
+                assert walk.rels.tolist() == rel[perm].tolist()
                 assert walk.dst.tolist() == dst[perm].tolist()
                 chunks = list(walk.chunks())
                 # a cut every NEIGHBOR_CHUNK edges
                 assert [edges for edges, _, _ in chunks] == [
-                    slice(lo, lo + chunk) for lo in range(0, num_edges, chunk)]
+                    slice(lo, lo + chunk) for lo in range(0, key.size, chunk)]
                 for edges, starts, run_keys in chunks:
                     assert starts.tolist() == np.flatnonzero(
                         np.diff(keys[edges], prepend=-1)).tolist()
                     assert run_keys.tolist() == keys[edges][starts].tolist()
+            assert index.by_dst.src.size == 2 * num_edges
+            assert np.sum(index.by_dst.rels >= num_relations) == num_edges
+            assert index.by_rel.src.size == num_edges
             assert np.array_equal(
-                index.degree,
-                np.bincount(index.heads, minlength=n) + np.bincount(index.tails, minlength=n))
+                index.degree, np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n))
             assert index.degree[[kg.entity_names.index("x"), kg.entity_names.index("y")]].tolist() \
                 == [0, 0]
 

@@ -32,11 +32,12 @@ def score_triples(entities, relations, heads, rels, tails, assumption: Assumptio
                  ad.gather_rows(entities, tails), assumption, norm)
 
 
-# The split-half chunk loops that ``autodiff.neighbor_sum`` and
-# ``autodiff.triple_scores`` ran before their products were formed plane by
-# plane and their edge walks planned in ``kg.build_index``.  The fused ops
-# must give the same bits.  Chunk sizes are read when called, so a test that
-# patches ``kg.NEIGHBOR_CHUNK`` or ``autodiff.TRIPLE_CHUNK`` patches both sides.
+# Split-half chunk loops that ``autodiff.neighbor_sum`` and
+# ``autodiff.triple_scores`` must match bit for bit.  They build their own
+# edge orders from the train rows and form whole split-half products, where
+# the fused ops walk the plan of ``kg.build_index`` and form re and im planes.
+# Chunk sizes are read when called, so a test that patches
+# ``kg.NEIGHBOR_CHUNK`` or ``autodiff.TRIPLE_CHUNK`` patches both sides.
 
 def complex_product(a, b):
     """Coordinate-wise complex product of split-half [re | im] rows."""
@@ -54,10 +55,7 @@ def _conjugated(a):
 def _compose(rows, r, rotation, inverse=False):
     if rotation:
         return complex_product(rows, _conjugated(r) if inverse else r)
-    if inverse:
-        rows -= r
-    else:
-        rows += r
+    rows += r
     return rows
 
 
@@ -66,44 +64,55 @@ def _segment_add(out, keys, rows):
     out[keys[starts]] += np.add.reduceat(rows, starts, axis=0)
 
 
-def neighbor_pass(values, rel_rows, index, rotation):
-    """The neighbor_sum forward (and, over g, its entity gradient)."""
+def neighbor_pass(values, rel_rows, train, rotation):
+    """The neighbor_sum forward (and, over g, its entity gradient).
+
+    Each train edge h -r-> t is taken as h -r-> t and as t -(R + r)-> h,
+    with relation row R + r the inverse of row r; the 2E directed edges are
+    summed by destination in stable destination order.
+    """
     chunk = kg.NEIGHBOR_CHUNK
+    heads, rels, tails = train.T
+    src, dst = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+    if rel_rows is not None:
+        inverse = _conjugated(rel_rows.copy()) if rotation else -rel_rows
+        rel_rows = np.concatenate([rel_rows, inverse])
+        rel_ids = np.concatenate([rels, rels + len(inverse)])
     out = np.zeros_like(values)
-    for key, src, dst, inverse in ((index.tails, index.heads, index.tails, False),
-                                   (index.heads, index.tails, index.heads, True)):
-        order = np.argsort(key, kind="stable")
-        for start in range(0, order.size, chunk):
-            edges = order[start : start + chunk]
-            rows = values[src[edges]]
-            if rel_rows is not None:
-                rows = _compose(rows, rel_rows[index.rels[edges]], rotation, inverse)
-            _segment_add(out, dst[edges], rows)
+    order = np.argsort(dst, kind="stable")
+    for start in range(0, order.size, chunk):
+        edges = order[start : start + chunk]
+        rows = values[src[edges]]
+        if rel_rows is not None:
+            rows = _compose(rows, rel_rows[rel_ids[edges]], rotation)
+        _segment_add(out, dst[edges], rows)
     return out
 
 
-def relation_pass(g, ent, index, rotation, shape):
+def relation_pass(g, ent, train, rotation, shape):
     """The neighbor_sum relation gradient over upstream gradient g."""
     chunk = kg.NEIGHBOR_CHUNK
+    heads, rels, tails = train.T
     out = np.zeros(shape)
-    order = np.argsort(index.rels, kind="stable")
+    order = np.argsort(rels, kind="stable")
     for start in range(0, order.size, chunk):
         edges = order[start : start + chunk]
-        h, t = index.heads[edges], index.tails[edges]
+        h, t = heads[edges], tails[edges]
         if rotation:
             rows = _compose(g[t], ent[h], True, inverse=True)
             rows += _compose(ent[t], g[h], True, inverse=True)
         else:
             rows = g[t] - g[h]
-        _segment_add(out, index.rels[edges], rows)
+        _segment_add(out, rels[edges], rows)
     return out
 
 
-def neighbor_sum_and_gradients(ent, rel, index, rotation, g):
-    """neighbor_sum's value and its entity and relation gradients under g."""
-    return (neighbor_pass(ent, rel, index, rotation),
-            neighbor_pass(g, rel if rotation else None, index, rotation),
-            relation_pass(g, ent, index, rotation, rel.shape))
+def neighbor_sum_and_gradients(ent, rel, train, rotation, g):
+    """neighbor_sum's value and its entity and relation gradients under g,
+    for the (E, 3) train rows ``train``."""
+    return (neighbor_pass(ent, rel, train, rotation),
+            neighbor_pass(g, rel if rotation else None, train, rotation),
+            relation_pass(g, ent, train, rotation, rel.shape))
 
 
 def triple_scores_and_gradients(ent, rel, h, r, t, rotation, norm, g):
