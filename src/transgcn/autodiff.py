@@ -11,7 +11,9 @@ Tapes are rebuilt every training step and are confined to a single thread.
 All op outputs are checked for NaN/Inf at the op boundary; leaves are
 checked at construction.  Complex rows are stored split-half, [re | im];
 the fused ops gather and multiply them as separate re and im planes.
-``neighbor_sum`` walks each edge both ways, the reverse under an inverse row.
+``neighbor_sum`` walks each edge both ways, the reverse under an inverse row;
+its value and both gradients are sums over a ``kg.EdgeWalk``, taken by one
+chunk loop, ``_walk_sum``.
 """
 
 from __future__ import annotations
@@ -311,44 +313,27 @@ def _composed(table: np.ndarray, ids: np.ndarray, rel_rows: np.ndarray, rel_ids:
     return (rows,)
 
 
-def _segment_add(out: np.ndarray, starts: np.ndarray, keys: np.ndarray, planes) -> None:
-    """out[keys[j]] += the sum of run j (rows starts[j] to starts[j + 1]) of each
+def _walk_sum(walk, shape: tuple[int, int], planes_of) -> np.ndarray:
+    """Sum, chunk by chunk, the planes that ``planes_of`` makes from a chunk's id
+    arrays into a ``shape`` array: out[keys[j]] += the sum of run j of each
     plane, a re and an im plane into the two halves of ``out``."""
-    for block, rows in zip(_planes(out) if len(planes) == 2 else (out,), planes):
-        block[keys] += np.add.reduceat(rows, starts, axis=0)
-
-
-def _neighbor_pass(values: np.ndarray, rel_rows: np.ndarray | None, walk,
-                   rotation: bool) -> np.ndarray:
-    """Per destination v, the sum over the walk's edges u -ρ-> v of values[u] ∘ ρ
-    (translation: + ρ; with no ``rel_rows``, values[u]), summed chunk by chunk."""
-    out = np.zeros_like(values)
-    for edges, starts, keys in walk.chunks():
-        src = walk.src[edges]
-        if rel_rows is None:
-            planes = (values[src],)
-        else:
-            planes = _composed(values, src, rel_rows, walk.rels[edges], rotation)
-        _segment_add(out, starts, keys, planes)
-    return out
-
-
-def _relation_pass(g: np.ndarray, ent: np.ndarray, index, rotation: bool,
-                   shape: tuple[int, int]) -> np.ndarray:
-    """Relation gradient of neighbor_sum: the index's by-relation walk."""
     out = np.zeros(shape)
-    walk = index.by_rel
-    for edges, starts, keys in walk.chunks():
-        h, t = walk.src[edges], walk.dst[edges]
-        if rotation:
-            # e_h ∘ r lands on t: g[t] ∘ ē_h; e_t ∘ r̄ lands on h: conj(g[h] ∘ ē_t)
-            planes = [np.add(into_t, into_h, out=into_t) for into_t, into_h in zip(
-                _planar_product(*_planes(g, t), *_planes(ent, h), conj=True),
-                _planar_product(*_planes(ent, t), *_planes(g, h), conj=True))]
-        else:
-            planes = (g[t] - g[h],)
-        _segment_add(out, starts, keys, planes)
+    for ids, starts, keys in walk.chunks():
+        planes = planes_of(*ids)
+        for block, rows in zip(_planes(out) if len(planes) == 2 else (out,), planes):
+            block[keys] += np.add.reduceat(rows, starts, axis=0)
     return out
+
+
+def _relation_planes(g: np.ndarray, ent: np.ndarray, h: np.ndarray, t: np.ndarray,
+                     rotation: bool) -> tuple[np.ndarray, ...]:
+    """The relation-gradient planes of neighbor_sum for train edges h -r-> t."""
+    if not rotation:
+        return (g[t] - g[h],)
+    # e_h ∘ r lands on t: g[t] ∘ ē_h; e_t ∘ r̄ lands on h: conj(g[h] ∘ ē_t)
+    return tuple(np.add(into_t, into_h, out=into_t) for into_t, into_h in zip(
+        _planar_product(*_planes(g, t), *_planes(ent, h), conj=True),
+        _planar_product(*_planes(ent, t), *_planes(g, h), conj=True)))
 
 
 def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> Tensor:
@@ -358,9 +343,10 @@ def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> 
     entities[t] ∘ r̄ for every edge i -r-> t (translation: + r and − r);
     ``index`` is a ``kg.NeighborhoodIndex``, whose ``by_dst`` walk holds
     both, the reverse under relation id R + r, and fixes the chunks and so
-    the order of every sum.  Chunks are composed as re and im planes and
-    summed with ``np.add.reduceat``, so no edge x d array is kept: the
-    backward recomputes each chunk.
+    the order of every sum.  The value and both gradients are sums over a
+    walk, ``by_dst`` or ``by_rel``, taken by one chunk loop: chunks are
+    composed as re and im planes and summed with ``np.add.reduceat``, so no
+    edge x d array is kept and the backward recomputes each chunk.
     """
     if relations.cols != entities.cols:
         raise ShapeError(f"neighbor_sum: relation width {relations.cols} != "
@@ -371,19 +357,24 @@ def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> 
                          f"{relations.rows} rows")
     if rotation:
         _split(entities, "neighbor_sum")
-    ent, rel, walk = entities.values, relations.values, index.by_dst
+    ent, rel = entities.values, relations.values
     both = np.concatenate([rel, rel])  # rows R + r: r̄ under rotation, −r under translation
     both[len(rel):, rel.shape[1] // 2 if rotation else 0:] *= -1.0
+
+    def composed(values: np.ndarray):  # the planes of values[u] ∘ ρ over by_dst's u -ρ-> v
+        return lambda src, rels: _composed(values, src, both, rels, rotation)
 
     def backward_fn(g):
         if entities.requires_grad:
             # every edge's reverse is in the walk, so the adjoint is the same pass over g
-            _accumulate(entities, _neighbor_pass(g, both if rotation else None, walk, rotation))
+            planes_of = composed(g) if rotation else lambda src, rels: (g[src],)
+            _accumulate(entities, _walk_sum(index.by_dst, g.shape, planes_of))
         if relations.requires_grad:
-            _accumulate(relations, _relation_pass(g, ent, index, rotation, rel.shape))
+            _accumulate(relations, _walk_sum(
+                index.by_rel, rel.shape, lambda h, t: _relation_planes(g, ent, h, t, rotation)))
 
-    return _make_result(_neighbor_pass(ent, both, walk, rotation), (entities, relations),
-                        "neighbor_sum", backward_fn)
+    return _make_result(_walk_sum(index.by_dst, ent.shape, composed(ent)),
+                        (entities, relations), "neighbor_sum", backward_fn)
 
 
 def _scatter_add(out: np.ndarray, ids: np.ndarray, planes) -> None:

@@ -5,7 +5,9 @@ test.txt), one ``head<TAB>relation<TAB>tail`` triple per line.  String names
 are interned into integer ids shared across the splits, and each split is held
 as one read-only (n, 3) int64 array of (head, relation, tail) id rows; all
 downstream code works on these arrays.  The neighborhood index walks each
-train edge both ways, the reverse under inverse relation id R + r.
+train edge both ways, the reverse under inverse relation id R + r; its walks
+keep, besides their chunk plans, only the id arrays that message passing
+gathers.
 """
 
 from __future__ import annotations
@@ -167,16 +169,16 @@ NEIGHBOR_CHUNK = 256  # edges per message-passing chunk; bounds its temporaries 
 class EdgeWalk:
     """Edges sorted stably by ``key``, cut every ``chunk`` (NEIGHBOR_CHUNK when made) edges.
 
-    Edge i of the walk runs from ``src[i]`` under ``rels[i]`` to ``dst[i]``.
-    Chunk c's runs of one key start at the chunk-local offsets
-    ``starts[bounds[c]:bounds[c + 1]]``; the same slice of ``keys`` holds
-    each run's key, the output row that the run sums into.
+    ``ids`` holds, in walk order, only the id arrays that a pass over the
+    walk gathers.  Chunk c's runs of one key start at the chunk-local
+    offsets ``starts[bounds[c]:bounds[c + 1]]``; the same slice of ``keys``
+    holds each run's key, the output row that the run sums into.
     """
 
-    def __init__(self, key: np.ndarray, src: np.ndarray, rels: np.ndarray, dst: np.ndarray):
+    def __init__(self, key: np.ndarray, *ids: np.ndarray):
         self.chunk = chunk = NEIGHBOR_CHUNK
         order = np.argsort(key, kind="stable")
-        self.src, self.rels, self.dst = src[order], rels[order], dst[order]
+        self.ids = [a[order] for a in ids]
         key = key[order]
         first = np.diff(key, prepend=-1) != 0
         first[::chunk] = True  # every chunk starts a run
@@ -185,11 +187,11 @@ class EdgeWalk:
         self.bounds = np.searchsorted(starts, np.arange(0, key.size + chunk, chunk))
 
     def chunks(self):
-        """(edge slice, run starts, run keys) of each chunk, in walk order."""
+        """(each id array's slice, run starts, run keys) of each chunk, in walk order."""
         bounds = self.bounds.tolist()
-        for c, lo in enumerate(range(0, self.src.size, self.chunk)):
-            runs = slice(bounds[c], bounds[c + 1])
-            yield slice(lo, lo + self.chunk), self.starts[runs], self.keys[runs]
+        for c in range(len(bounds) - 1):
+            lo, runs = c * self.chunk, slice(bounds[c], bounds[c + 1])
+            yield [a[lo:lo + self.chunk] for a in self.ids], self.starts[runs], self.keys[runs]
 
 
 @dataclass
@@ -198,10 +200,12 @@ class NeighborhoodIndex:
 
     Each train edge h -r-> t is walked in both directions, as h -r-> t and
     as t -(R + r)-> h, where ``num_relations`` is R and id R + r names the
-    inverse of r.  ``by_dst`` holds these 2E directed edges sorted by
-    destination (forward edges before inverse ones, each in file order),
-    ``by_rel`` the E train edges sorted by relation.  ``degree[i]`` counts
-    the directed edges that end at entity i (a self-loop counts twice).
+    inverse of r.  ``by_dst`` holds the sources and relation ids of these 2E
+    directed edges sorted by destination (forward edges before inverse ones,
+    each in file order), ``by_rel`` the heads and tails of the E train edges
+    sorted by relation; the keys, destination or relation, are read off each
+    chunk's runs.  ``degree[i]`` counts the directed edges that end at entity
+    i (a self-loop counts twice).
     """
 
     degree: np.ndarray
@@ -221,8 +225,8 @@ def build_index(kg: KnowledgeGraph) -> NeighborhoodIndex:
     return NeighborhoodIndex(
         degree=np.bincount(dst, minlength=kg.num_entities),
         num_relations=kg.num_relations,
-        by_dst=EdgeWalk(dst, src, np.concatenate([rels, rels + kg.num_relations]), dst),
-        by_rel=EdgeWalk(rels, heads, rels, tails),
+        by_dst=EdgeWalk(dst, src, np.concatenate([rels, rels + kg.num_relations])),
+        by_rel=EdgeWalk(rels, heads, tails),
     )
 
 

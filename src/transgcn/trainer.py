@@ -253,15 +253,16 @@ def estimate_peak_bytes(
     Adam moments, the best snapshot and Adam's temporaries), 12 entity
     tables per layer plus 4 for validation, 20 words per score row (the
     batch x (1 + negatives) sampled ids, scores and loss columns), the
-    chunk x d temporaries of scoring and message passing, and 25 words per
-    train edge: up to 5 per edge of the index's walks (2E edges by destination,
-    E by relation), and 10 for the epoch order and the index build.
+    chunk x d temporaries of scoring and message passing, and 22 words per
+    train edge: up to 4 per edge of the index's walks (2E edges by destination,
+    E by relation; two ids, a run start and a run key), and 10 for the epoch
+    order and the index build.
     """
     d, n = config.dim, num_entities
     params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
     words = (13 * params + (12 * config.layers + 4) * n * d + 20 * score_rows
-             + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 25 * num_edges)
+             + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 22 * num_edges)
     return 8 * words
 
 
@@ -404,6 +405,8 @@ def train(
 def layer_sweep(kg: KnowledgeGraph, config: TrainConfig, layer_counts,
                 split: str = "test") -> list[dict]:
     """Train one model per layer count (shared seed/config) and compare."""
+    if not len(kg.split(split)):  # refuse before training any model
+        raise ValueError(f"cannot evaluate an empty {split} split")
     index = build_index(kg)
     rows = []
     for layers in layer_counts:

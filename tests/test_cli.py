@@ -505,6 +505,17 @@ class TestSweepCommand:
         assert "layers must be >= 0" in capsys.readouterr().err
         assert not caplog.records  # no epoch line: nothing was trained
 
+    def test_empty_split_refused_before_training(self, tmp_path, capsys, caplog):
+        data = tmp_path / "no-valid"
+        assert main(["gen-toy", "--out", str(data), "--seed", "0", "--couples", "3",
+                     "--valid-size", "0", "--test-size", "20"]) == 0
+        with caplog.at_level(logging.INFO, logger="transgcn.trainer"):
+            code = main(["sweep", "--data", str(data), "--split", "valid", "--layer-counts",
+                         "0", "--dim", "8", "--epochs", "3", "--batch", "64"])
+        assert code == 2
+        assert "cannot evaluate an empty valid split" in capsys.readouterr().err
+        assert not caplog.records  # no epoch line: nothing was trained
+
 
 class TestLoggingAndVersion:
     def test_bad_log_level_exits_2(self, tmp_path, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from transgcn.kg import (
     read_triples_tsv,
     write_dataset,
 )
+from unfused import walk_keys
 
 
 def neighbors(index, i):
@@ -26,9 +27,9 @@ def neighbors(index, i):
     (tail, relation) of the edges starting at i, which reach i under the
     inverse id R + relation.
     """
-    walk, num_relations = index.by_dst, index.num_relations
-    at_i = walk.dst == i
-    pairs = list(zip(walk.src[at_i].tolist(), walk.rels[at_i].tolist()))
+    (src, rels), num_relations = index.by_dst.ids, index.num_relations
+    at_i = walk_keys(index.by_dst) == i
+    pairs = list(zip(src[at_i].tolist(), rels[at_i].tolist()))
     return ([(u, r) for u, r in pairs if r < num_relations],
             [(u, r - num_relations) for u, r in pairs if r >= num_relations])
 
@@ -280,33 +281,32 @@ class TestNeighborhoodIndex:
             heads, rels, tails = kg.train.T
             n, num_relations, num_edges = kg.num_entities, kg.num_relations, len(kg.train)
             assert index.num_relations == num_relations
-            # every edge h -r-> t, then its reverse t -(R + r)-> h, in file order
-            directed = (np.concatenate([heads, tails]),
-                        np.concatenate([rels, rels + num_relations]),
-                        np.concatenate([tails, heads]))
-            for walk, key, (src, rel, dst) in (
-                (index.by_dst, directed[2], directed),
-                (index.by_rel, rels, (heads, rels, tails)),
+            # every edge h -r-> t, then its reverse t -(R + r)-> h, in file order;
+            # each walk holds only the ids its pass gathers
+            for walk, key, ids in (
+                (index.by_dst, np.concatenate([tails, heads]),
+                 (np.concatenate([heads, tails]), np.concatenate([rels, rels + num_relations]))),
+                (index.by_rel, rels, (heads, tails)),
             ):
                 perm = np.argsort(key, kind="stable")
                 keys = key[perm]
                 assert np.all(np.diff(keys) >= 0)
                 # stable: forward before reverse edges, each in file order, within a key
                 assert np.all(np.diff(perm)[np.diff(keys) == 0] > 0)
-                assert walk.src.tolist() == src[perm].tolist()
-                assert walk.rels.tolist() == rel[perm].tolist()
-                assert walk.dst.tolist() == dst[perm].tolist()
+                assert [held.tolist() for held in walk.ids] == [a[perm].tolist() for a in ids]
+                assert walk_keys(walk).tolist() == keys.tolist()
                 chunks = list(walk.chunks())
                 # a cut every NEIGHBOR_CHUNK edges
-                assert [edges for edges, _, _ in chunks] == [
-                    slice(lo, lo + chunk) for lo in range(0, key.size, chunk)]
-                for edges, starts, run_keys in chunks:
+                edges = [slice(lo, lo + chunk) for lo in range(0, key.size, chunk)]
+                assert len(chunks) == len(edges)
+                for cut, (chunk_ids, starts, run_keys) in zip(edges, chunks):
+                    assert [a.tolist() for a in chunk_ids] == [a[cut].tolist() for a in walk.ids]
                     assert starts.tolist() == np.flatnonzero(
-                        np.diff(keys[edges], prepend=-1)).tolist()
-                    assert run_keys.tolist() == keys[edges][starts].tolist()
-            assert index.by_dst.src.size == 2 * num_edges
-            assert np.sum(index.by_dst.rels >= num_relations) == num_edges
-            assert index.by_rel.src.size == num_edges
+                        np.diff(keys[cut], prepend=-1)).tolist()
+                    assert run_keys.tolist() == keys[cut][starts].tolist()
+            assert index.by_dst.ids[0].size == 2 * num_edges
+            assert np.sum(index.by_dst.ids[1] >= num_relations) == num_edges
+            assert index.by_rel.ids[0].size == num_edges
             assert np.array_equal(
                 index.degree, np.bincount(heads, minlength=n) + np.bincount(tails, minlength=n))
             assert index.degree[[kg.entity_names.index("x"), kg.entity_names.index("y")]].tolist() \

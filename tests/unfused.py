@@ -3,19 +3,24 @@
 ``score`` and ``score_triples`` are the unfused op chain that
 ``autodiff.triple_scores`` fuses: forward values must be bit-identical and
 gradients equal up to summation order.  The chunk loops further down are
-bit-for-bit references for ``neighbor_sum`` and ``triple_scores``.
+bit-for-bit references for ``neighbor_sum`` and ``triple_scores``;
+``walk_keys`` reads each edge's key back off a ``kg.EdgeWalk`` plan.
 """
 
 import numpy as np
 
 import transgcn.autodiff as ad
 import transgcn.kg as kg
-from transgcn.transform import Assumption, estimate_from_incoming
+from transgcn.transform import Assumption
 
 
 def score(h, r, t, assumption: Assumption, norm: str = "l1"):
     """Row-wise score -||compose(h, r) - t|| of gathered rows; shape (B, 1)."""
-    diff = ad.sub(estimate_from_incoming(h, r, assumption), t)
+    if assumption is Assumption.ROTATION:
+        composed = ad.complex_hadamard(h, r)
+    else:
+        composed = ad.add(h, r)
+    diff = ad.sub(composed, t)
     if norm == "l1":
         dist = ad.row_l1_norm(diff)
     elif norm == "l2":
@@ -113,6 +118,13 @@ def neighbor_sum_and_gradients(ent, rel, train, rotation, g):
     return (neighbor_pass(ent, rel, train, rotation),
             neighbor_pass(g, rel if rotation else None, train, rotation),
             relation_pass(g, ent, train, rotation, rel.shape))
+
+
+def walk_keys(walk):
+    """The key of each edge of a ``kg.EdgeWalk``, in walk order, read off its chunks' runs."""
+    return np.concatenate([np.zeros(0, np.int64)] + [
+        np.repeat(keys, np.diff(starts, append=ids[0].size))
+        for ids, starts, keys in walk.chunks()])
 
 
 def triple_scores_and_gradients(ent, rel, h, r, t, rotation, norm, g):
