@@ -11,7 +11,8 @@ acceptance:
 # Tier-1 tests, every demo, and an untraced and a traced smoke run of each
 # benchmark workload.  The untraced run is the path the benchmark measures; the
 # traced run wraps module attributes by name (benchmarks/tracing.py), so it
-# fails when a traced function is renamed or removed.
+# fails when a traced function is renamed or removed.  Each run echoes its
+# memory: peak RSS untraced, the traced one-step peak traced.
 check: test
 	@for demo in demos/*.py; do \
 	  echo "== $$demo"; $(RUN) $$demo > /dev/null || exit 1; \
@@ -21,6 +22,8 @@ check: test
 	  $(RUN) benchmarks/run.py --workload $$w --seed 1 --seconds 10 --smoke --trace $$trace > $$out \
 	    || { cat $$out; rm -f $$out; exit 1; }; \
 	  grep '^check ' $$out; \
+	  metric=peak_rss_mb; [ $$trace = 0 ] || metric=trainer.step_traced_peak_mb; \
+	  echo "$$metric $$(grep -o "\"$$metric\": {\"value\": [0-9.]*" $$out | grep -o '[0-9.]*$$') MB"; \
 	  grep -q '"correct": true' $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	  rm -f $$out; \
 	done; done
@@ -39,13 +42,12 @@ toy:
 
 # Full-scale reproduction targets. These are research-length jobs, not CI
 # checks. On a synthetic FB15k-237-shaped graph (d=500, batch 512, 16
-# negatives) one one-layer rotation step took 5.2-6.8 s on a 2-core host,
-# so an epoch of 532 steps takes about 46-60 minutes. fullscale-fb15k237 runs
-# 100 zero-layer epochs, then 100 two-layer epochs; a two-layer step does
-# more work than a one-layer step, so the two-layer epochs alone take at
-# least about 77 CPU-hours. The two-layer step time and the WN18RR-shaped
-# step time are unmeasured. Reference targets: FB15k-237 filtered MRR
-# 0.356 +/- 0.02, WN18RR filtered MRR 0.485 +/- 0.02.
+# negatives) one one-layer rotation step took 4.6-4.9 s on a 2-core host,
+# so an epoch of 532 steps takes about 41-43 minutes. fullscale-fb15k237 runs
+# 100 zero-layer epochs, then 100 two-layer epochs; a two-layer step took
+# 8.5-9.3 s there, so the two-layer epochs alone take about 125-137 hours.
+# The WN18RR-shaped step time is unmeasured. Reference targets: FB15k-237
+# filtered MRR 0.356 +/- 0.02, WN18RR filtered MRR 0.485 +/- 0.02.
 fullscale-fb15k237:
 	@test -n "$(TRANSGCN_FB15K237_DIR)" || { echo "set TRANSGCN_FB15K237_DIR first"; exit 2; }
 	$(RUN) -m transgcn train --data $(TRANSGCN_FB15K237_DIR) --out runs/fb15k237 \

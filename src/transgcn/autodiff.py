@@ -13,7 +13,8 @@ checked at construction.  Complex rows are stored split-half, [re | im];
 the fused ops gather and multiply them as separate re and im planes.
 ``neighbor_sum`` walks each edge both ways, the reverse under an inverse row;
 its value and both gradients are sums over a ``kg.EdgeWalk``, taken by one
-chunk loop, ``_walk_sum``.
+chunk loop, ``_walk_sum``.  ``graph_conv`` records a layer's entity update,
+neighbor sum to relu, as one op.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ def _make_result(arr: np.ndarray, inputs: tuple[Tensor, ...], op: str, backward_
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.copy()  # g may be a read-only view, or also go to another input
+    if t.grad is None:  # unless fresh, g may be a read-only view, or also go to another input
+        t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
@@ -336,18 +337,8 @@ def _relation_planes(g: np.ndarray, ent: np.ndarray, h: np.ndarray, t: np.ndarra
         _planar_product(*_planes(ent, t), *_planes(g, h), conj=True)))
 
 
-def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> Tensor:
-    """Per entity, the sum of its neighbors' estimates of it over both directions.
-
-    Entity i receives entities[h] ∘ r for every train edge h -r-> i and
-    entities[t] ∘ r̄ for every edge i -r-> t (translation: + r and − r);
-    ``index`` is a ``kg.NeighborhoodIndex``, whose ``by_dst`` walk holds
-    both, the reverse under relation id R + r, and fixes the chunks and so
-    the order of every sum.  The value and both gradients are sums over a
-    walk, ``by_dst`` or ``by_rel``, taken by one chunk loop: chunks are
-    composed as re and im planes and summed with ``np.add.reduceat``, so no
-    edge x d array is kept and the backward recomputes each chunk.
-    """
+def _neighbor_walks(entities: Tensor, relations: Tensor, index, rotation: bool):
+    """Check the operands; return their neighbor sum and its backward closure."""
     if relations.cols != entities.cols:
         raise ShapeError(f"neighbor_sum: relation width {relations.cols} != "
                          f"entity width {entities.cols}")
@@ -373,8 +364,54 @@ def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> 
             _accumulate(relations, _walk_sum(
                 index.by_rel, rel.shape, lambda h, t: _relation_planes(g, ent, h, t, rotation)))
 
-    return _make_result(_walk_sum(index.by_dst, ent.shape, composed(ent)),
-                        (entities, relations), "neighbor_sum", backward_fn)
+    return _walk_sum(index.by_dst, ent.shape, composed(ent)), backward_fn
+
+
+def neighbor_sum(entities: Tensor, relations: Tensor, index, rotation: bool) -> Tensor:
+    """Per entity, the sum of its neighbors' estimates of it over both directions.
+
+    Entity i receives entities[h] ∘ r for every train edge h -r-> i and
+    entities[t] ∘ r̄ for every edge i -r-> t (translation: + r and − r);
+    ``index`` is a ``kg.NeighborhoodIndex``, whose ``by_dst`` walk holds
+    both, the reverse under relation id R + r, and fixes the chunks and so
+    the order of every sum.  The value and both gradients are sums over a
+    walk, ``by_dst`` or ``by_rel``, taken by one chunk loop: chunks are
+    composed as re and im planes and summed with ``np.add.reduceat``, so no
+    edge x d array is kept and the backward recomputes each chunk.
+    """
+    value, backward_fn = _neighbor_walks(entities, relations, index, rotation)
+    return _make_result(value, (entities, relations), "neighbor_sum", backward_fn)
+
+
+def graph_conv(entities: Tensor, relations: Tensor, index, w0: Tensor, rotation: bool) -> Tensor:
+    """One layer's entities, relu(D⁻¹ · neighbor_sum · W0 + entities), as one record.
+
+    D counts the edges that end at each entity.  The float ops, their order and
+    finiteness checks are those of the chain neighbor_sum, 1/degree hadamard,
+    matmul, add, relu; but it keeps only the output, scaled sums and relu mask,
+    and adds into ``entities`` in the chain's order: masked gradient, neighbor adjoint.
+    """
+    if w0.shape != (entities.cols,) * 2:
+        raise ShapeError(f"graph_conv: w0 is {w0.shape}, expected {(entities.cols,) * 2}")
+    scaled, neighbor_backward = _neighbor_walks(entities, relations, index, rotation)
+    _check_finite(scaled, "neighbor_sum")
+    inv_degree = np.where(index.degree > 0, 1.0 / np.maximum(index.degree, 1), 0.0)[:, None]
+    scaled *= inv_degree
+    out = _check_finite(scaled, "hadamard") @ w0.values
+    _check_finite(out, "matmul")
+    out += entities.values
+    mask = _check_finite(out, "add") > 0  # gradient is 0 at exactly 0
+    np.maximum(out, 0.0, out=out)
+
+    def backward_fn(g):
+        g = g * mask
+        _accumulate(entities, g, fresh=True)
+        _accumulate(w0, scaled.T @ g)
+        g = g @ w0.values.T
+        g *= inv_degree
+        neighbor_backward(g)
+
+    return _make_result(out, (entities, relations, w0), "graph_conv", backward_fn)
 
 
 def _scatter_add(out: np.ndarray, ids: np.ndarray, planes) -> None:

@@ -22,6 +22,7 @@ config block is read with the grammar of ``--config`` files
 
 from __future__ import annotations
 
+import io
 import struct
 
 import numpy as np
@@ -45,21 +46,26 @@ def _text(s: str) -> bytes:
     return struct.pack("<Q", len(data)) + data
 
 
-def _array(arr: np.ndarray) -> bytes:
-    return struct.pack("<QQ", *arr.shape) + np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _array(arr: np.ndarray):
+    yield struct.pack("<QQ", *arr.shape)
+    yield np.ascontiguousarray(arr, dtype="<f8")  # no copy of a C-ordered float64 array
 
 
 class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+    """Reads a checkpoint's fields in order from an open, seekable binary file."""
+
+    def __init__(self, fh) -> None:
+        self.fh, self.size = fh, fh.seek(0, io.SEEK_END)
+        self.pos = fh.seek(0)
+
+    def _advance(self, n: int) -> None:
+        if self.pos + n > self.size:  # refused before anything is allocated
+            raise CheckpointError("truncated checkpoint")
+        self.pos += n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("truncated checkpoint")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self._advance(n)
+        return self.fh.read(n)
 
     def unpack(self, fmt: str) -> tuple:
         """The little-endian fields of struct format ``fmt``, e.g. "QQ"."""
@@ -73,32 +79,39 @@ class _Reader:
             raise CheckpointError(f"checkpoint text is not UTF-8: {err}") from err
 
     def array(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        """The next array, refused unless it has the expected ``shape``."""
+        """The next array, read straight into place; refused unless it has ``shape``."""
         rows, cols = self.unpack("QQ")
         if (rows, cols) != shape:
             raise CheckpointError(f"{name} array is {(rows, cols)}, expected {shape}")
-        buf = self.take(rows * cols * 8)
-        return np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
+        self._advance(rows * cols * 8)
+        out = np.empty(shape, dtype="<f8")
+        self.fh.readinto(out)
+        return out
+
+
+def _parts(checkpoint: Checkpoint):
+    """The checkpoint's bytes, field by field, in file order."""
+    config = "".join(f"{k}={v}\n" for k, v in config_values(checkpoint.config).items())
+    yield from (MAGIC, struct.pack("<I", checkpoint.version), _text(config))
+    for table in (checkpoint.entity_names, checkpoint.relation_names):
+        yield struct.pack("<Q", len(table))
+        yield from map(_text, table)
+    yield struct.pack("<dQ", checkpoint.best_valid_mrr, checkpoint.epoch)
+    params = checkpoint.state.parameters()
+    for tensor in params.values():
+        yield from _array(tensor.values)
+    yield struct.pack("<Q", checkpoint.adam_step)
+    for name, tensor in params.items():
+        for moments in (checkpoint.adam_m, checkpoint.adam_v):
+            yield from _array(moments.get(name, np.zeros_like(tensor.values)))
 
 
 def to_bytes(checkpoint: Checkpoint) -> bytes:
-    config = "".join(f"{k}={v}\n" for k, v in config_values(checkpoint.config).items())
-    parts = [MAGIC, struct.pack("<I", checkpoint.version), _text(config)]
-    for table in (checkpoint.entity_names, checkpoint.relation_names):
-        parts.append(struct.pack("<Q", len(table)))
-        parts.extend(map(_text, table))
-    parts.append(struct.pack("<dQ", checkpoint.best_valid_mrr, checkpoint.epoch))
-    params = checkpoint.state.parameters()
-    parts.extend(_array(tensor.values) for tensor in params.values())
-    parts.append(struct.pack("<Q", checkpoint.adam_step))
-    for name, tensor in params.items():
-        for moments in (checkpoint.adam_m, checkpoint.adam_v):
-            parts.append(_array(moments.get(name, np.zeros_like(tensor.values))))
-    return b"".join(parts)
+    return b"".join(_parts(checkpoint))
 
 
-def from_bytes(data: bytes) -> Checkpoint:
-    r = _Reader(data)
+def _read(fh) -> Checkpoint:
+    r = _Reader(fh)
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError("bad checkpoint header")
     (version,) = r.unpack("I")
@@ -127,7 +140,7 @@ def from_bytes(data: bytes) -> Checkpoint:
     for name, shape in shapes.items():
         adam_m[name] = r.array(f"adam moments m of {name}", shape)
         adam_v[name] = r.array(f"adam moments v of {name}", shape)
-    if r.pos != len(data):
+    if r.pos != r.size:
         raise CheckpointError("trailing data after checkpoint payload")
     return Checkpoint(
         config=config,
@@ -143,11 +156,15 @@ def from_bytes(data: bytes) -> Checkpoint:
     )
 
 
+def from_bytes(data: bytes) -> Checkpoint:
+    return _read(io.BytesIO(data))
+
+
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(to_bytes(checkpoint))
+        fh.writelines(_parts(checkpoint))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        return from_bytes(fh.read())
+    with open(path, "rb") as fh:  # a pipe cannot seek, so it is read whole first
+        return _read(fh if fh.seekable() else io.BytesIO(fh.read()))

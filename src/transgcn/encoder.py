@@ -3,10 +3,9 @@
 Each layer turns every train edge into two directed estimates (incoming and
 outgoing), sums the estimates per entity, scales by 1/degree, applies the
 shared projection W0, and updates entities as relu(message + previous).
-The sums are one fused op, ``autodiff.neighbor_sum``: it walks each edge both
-ways, the reverse under an inverse relation, in the chunks ``kg.build_index``
-plans once, composes each chunk's rows as re and im planes and sums them with
-``np.add.reduceat``, so no edge x d array is kept for the backward pass.
+That is one fused op, ``autodiff.graph_conv``, which keeps only its output,
+the scaled sums and the relu mask; its neighbor sum walks each edge both ways
+in the chunks ``kg.build_index`` plans once, so no edge x d array is kept.
 Relations evolve through their own projection W1; under rotation the rows
 are renormalized to unit modulus afterwards.  Zero-degree entities receive
 a zero message.  With no layers, encoding returns the layer-0 embeddings
@@ -118,19 +117,10 @@ def materialize_relations(state: ModelState) -> Tensor:
     return state.relation_params
 
 
-def aggregate_messages(
-    entities: Tensor,
-    relations: Tensor,
-    index: NeighborhoodIndex,
-    w0: Tensor,
-    assumption: Assumption,
-) -> Tensor:
-    """Degree-normalized projected sum of neighborhood estimates per entity."""
-    sums = ad.neighbor_sum(entities, relations, index, assumption is Assumption.ROTATION)
-    inv_degree = np.where(index.degree > 0, 1.0 / np.maximum(index.degree, 1), 0.0)
-    # broadcast view costs no memory; zero rows stay zero through the matmul
-    scaled = ad.hadamard(sums, ad.tensor(np.broadcast_to(inv_degree[:, None], sums.shape)))
-    return ad.matmul(scaled, w0)
+def aggregate_messages(entities: Tensor, relations: Tensor, index: NeighborhoodIndex,
+                       w0: Tensor, assumption: Assumption) -> Tensor:
+    """The entity half of a layer: relu(D⁻¹ · neighborhood estimates · W0 + entities)."""
+    return ad.graph_conv(entities, relations, index, w0, assumption is Assumption.ROTATION)
 
 
 def update_relations(relations: Tensor, w1: Tensor, assumption: Assumption) -> Tensor:
@@ -146,8 +136,7 @@ def encode(state: ModelState, index: NeighborhoodIndex) -> tuple[Tensor, Tensor]
     entities = state.entity_embed
     relations = materialize_relations(state)
     for layer in state.layers:
-        messages = aggregate_messages(entities, relations, index, layer.w0, state.assumption)
-        entities = ad.relu(ad.add(messages, entities))
+        entities = aggregate_messages(entities, relations, index, layer.w0, state.assumption)
         relations = update_relations(relations, layer.w1, state.assumption)
     return entities, relations
 

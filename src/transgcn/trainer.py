@@ -188,7 +188,9 @@ def adam_step(
     eps: float = 1e-8,
     t: int = 1,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One bias-corrected Adam update; returns (new_param, (m, v))."""
+    """One bias-corrected Adam update, of m and v in place; returns (new_param, (m, v)).
+
+    The float ops are those of ``param - lr * m_hat / (sqrt(v_hat) + eps)``."""
     m, v = moments
     if not (param.shape == grad.shape == m.shape == v.shape):
         raise ShapeError(
@@ -197,11 +199,14 @@ def adam_step(
         )
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), (m, v)
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    out = v / (1.0 - beta2**t)  # sqrt(v_hat) + eps, then the new parameter
+    np.sqrt(out, out=out)
+    out += eps
+    return np.subtract(param, lr * (m / (1.0 - beta1**t)) / out, out=out), (m, v)
 
 
 def init_parameters(
@@ -249,19 +254,19 @@ def estimate_peak_bytes(
 ) -> int:
     """Upper estimate of the heap ``train`` takes on top of the loaded graph.
 
-    It counts 8-byte words: 13 copies of the parameters (values, gradients,
-    Adam moments, the best snapshot and Adam's temporaries), 12 entity
-    tables per layer plus 4 for validation, 20 words per score row (the
-    batch x (1 + negatives) sampled ids, scores and loss columns), the
-    chunk x d temporaries of scoring and message passing, and 22 words per
-    train edge: up to 4 per edge of the index's walks (2E edges by destination,
-    E by relation; two ids, a run start and a run key), and 10 for the epoch
-    order and the index build.
+    It counts 8-byte words: 12 copies of the parameters (values, gradients and
+    Adam moments, live and in two best snapshots while one replaces the other),
+    4 entity tables per layer (output, scaled sums, relu mask, output gradient)
+    plus 4 for the scores' gradient, temporaries and validation, 20 words per
+    score row (the batch x (1 + negatives) sampled ids, scores and loss columns),
+    the chunk x d temporaries of scoring and message passing, and 22 words per
+    train edge: up to 4 per edge of the index's walks (2E by destination, E by
+    relation; two ids, a run start and a run key), 10 for order and index build.
     """
     d, n = config.dim, num_entities
     params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
-    words = (13 * params + (12 * config.layers + 4) * n * d + 20 * score_rows
+    words = (12 * params + (4 * config.layers + 4) * n * d + 20 * score_rows
              + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 22 * num_edges)
     return 8 * words
 

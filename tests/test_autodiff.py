@@ -625,6 +625,65 @@ class TestNeighborSum:
             ad.neighbor_sum(ent, rel, index, rotation)
 
 
+def unfused_graph_conv(entities, relations, index, w0, rotation):
+    assumption = Assumption.ROTATION if rotation else Assumption.TRANSLATION
+    return unfused.aggregate_messages(entities, relations, index, w0, assumption)
+
+
+class TestGraphConv:
+    @pytest.mark.parametrize("rotation", [False, True])
+    def test_gradients_match_finite_differences(self, rotation, small_chunks):
+        kg, index = neighbor_graph()
+        rng = np.random.default_rng(31)
+        arrays = [rng.standard_normal((kg.num_entities, 4)),
+                  rng.standard_normal((kg.num_relations, 4)), rng.standard_normal((4, 4))]
+        check_op_gradients(
+            lambda v: weighted_sum(ad.graph_conv(v[0], v[1], index, v[2], rotation),
+                                   np.random.default_rng(32)),
+            arrays,
+        )
+
+    @pytest.mark.parametrize("graph", [neighbor_graph, random_neighbor_graph])
+    @pytest.mark.parametrize("chunk", [3, kg_module.NEIGHBOR_CHUNK])
+    @pytest.mark.parametrize("rotation", [False, True])
+    def test_same_bits_as_the_unfused_chain(self, graph, chunk, rotation, monkeypatch):
+        # the entities also reach the loss directly, so three gradients add up in
+        # them and the order of the last two shows in the bits
+        monkeypatch.setattr(kg_module, "NEIGHBOR_CHUNK", chunk)
+        kg, index = graph()
+        rng = np.random.default_rng(chunk)
+        arrays = [rng.standard_normal((kg.num_entities, 6)),
+                  rng.standard_normal((kg.num_relations, 6)), rng.standard_normal((6, 6))]
+        w = ad.tensor(rng.standard_normal((kg.num_entities, 6)))
+        results = []
+        for op in (ad.graph_conv, unfused_graph_conv):
+            e, r, w0 = (ad.tensor(a, requires_grad=True) for a in arrays)
+            with ad.Tape() as tape:
+                out = op(e, r, index, w0, rotation)
+                loss = ad.sum_all(ad.hadamard(ad.add(out, e), w))
+            ad.backward(tape, loss)
+            results.append((out.values, e.grad, r.grad, w0.grad))
+        assert not results[0][0].all()  # the relu zeroes some rows' coordinates
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_refuses_a_w0_that_is_not_d_by_d(self):
+        kg, index = neighbor_graph()
+        ent = ad.tensor(np.ones((kg.num_entities, 4)))
+        rel = ad.tensor(np.ones((kg.num_relations, 4)))
+        for shape in [(4, 2), (2, 4)]:
+            with pytest.raises(ShapeError, match="w0"):
+                ad.graph_conv(ent, rel, index, ad.tensor(np.ones(shape)), False)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_names_the_step_whose_result_is_not_finite(self):
+        kg, index = neighbor_graph()
+        ent = ad.tensor(np.full((kg.num_entities, 4), 1e300))
+        rel = ad.tensor(np.ones((kg.num_relations, 4)))
+        with pytest.raises(NumericError, match="matmul"):
+            ad.graph_conv(ent, rel, index, ad.tensor(np.full((4, 4), 1e10)), False)
+
+
 def triple_batch(rng, num_entities, num_relations, size):
     """Random id triples with repeated heads, relations and tails and some h == t."""
     h = rng.integers(num_entities, size=size)

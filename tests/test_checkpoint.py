@@ -1,7 +1,10 @@
 """Binary checkpoint format: bit-exact round trips and corruption handling."""
 
 import math
+import os
 import struct
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +137,44 @@ class TestGoldenFile:
         assert all(t.name == name and t.requires_grad for name, t in params.items())
         assert to_bytes(loaded) == data
 
+    def test_file_loads_and_saves_identically(self, tmp_path):
+        copy = tmp_path / "golden.ckpt"
+        save_checkpoint(load_checkpoint(GOLDEN_V1), copy)
+        assert copy.read_bytes() == GOLDEN_V1.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_loads_from_a_pipe(self, tmp_path):
+        pipe = tmp_path / "golden.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(GOLDEN_V1.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        try:
+            loaded = load_checkpoint(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert to_bytes(loaded) == GOLDEN_V1.read_bytes()
+
+
+def test_load_holds_little_more_than_the_arrays_it_returns(tmp_path):
+    # a 2,000 x 64 model: the file is read straight into the returned arrays
+    # (values, gradients, Adam moments); reading the whole file first and
+    # copying each array out of it took about 2x
+    kg = build_graph([(f"e{i}", f"r{i % 10}", f"e{(i + 1) % 2000}") for i in range(2000)],
+                     [], [])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(train(kg, TrainConfig(dim=64, layers=1, epochs=0)), path)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(t.values.nbytes + t.grad.nbytes for t in loaded.state.parameters().values())
+    arrays += sum(m.nbytes for m in (*loaded.adam_m.values(), *loaded.adam_v.values()))
+    assert peak < 1.1 * arrays, peak / arrays
+
 
 class TestCorruption:
     def test_bad_magic(self, trained):
@@ -155,6 +196,28 @@ class TestCorruption:
     def test_trailing_garbage(self, trained):
         with pytest.raises(CheckpointError, match="trailing"):
             from_bytes(to_bytes(trained) + b"x")
+
+    def test_file_cut_inside_an_adam_moment_array(self, trained, tmp_path):
+        data = to_bytes(trained)
+        last = trained.adam_v["w1_0"].nbytes  # the file ends with this moment array
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(data[: -last // 2])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_file_with_trailing_bytes(self, trained, tmp_path):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(to_bytes(trained) + b"x")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_length_past_the_end_refused_before_reading(self, trained, tmp_path):
+        data = bytearray(to_bytes(trained))
+        struct.pack_into("<Q", data, CONFIG_START, 2**62)  # the config block's length
+        path = tmp_path / "long-text.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
 
     def test_vocab_size_mismatch(self, trained):
         import dataclasses

@@ -8,7 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import unfused
 from transgcn import autodiff as ad
+from transgcn import encoder, trainer
 from transgcn.checkpoint import to_bytes
 from transgcn.encoder import ModelState, encode_arrays, parameter_shapes
 from transgcn.errors import ConfigError, NumericError, ShapeError
@@ -158,6 +160,19 @@ class TestAdamStep:
         z = np.zeros((1, 1))
         with pytest.raises(ValueError):
             adam_step(z, z, (z, z), lr=0.1, t=0)
+
+    def test_same_bits_as_the_expression_form(self):
+        rng = np.random.default_rng(14)
+        param = rng.standard_normal((10, 5))
+        m, v = np.zeros((10, 5)), np.zeros((10, 5))  # as train() starts them
+        want = [param, (m.copy(), v.copy())]
+        for t in range(1, 4):
+            grad = rng.standard_normal((10, 5))
+            param, (m2, v2) = adam_step(param, grad, (m, v), lr=0.01, t=t)
+            assert m2 is m and v2 is v  # the moments are updated in place
+            want = unfused.adam_step(want[0], grad, want[1], lr=0.01, t=t)
+            for got, expected in zip((param, m, v), (want[0], *want[1])):
+                assert np.array_equal(got, expected)
 
 
 class TestInitParameters:
@@ -423,6 +438,18 @@ class TestTrain:
         assert ck.state.relation_params.cols == 4
         for tensor in ck.state.parameters().values():
             assert np.all(np.isfinite(tensor.values))
+
+
+@pytest.mark.parametrize("assumption", ["translation", "rotation"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_train_bytes_equal_the_unfused_layer_and_adam(assumption, layers, monkeypatch):
+    kg = generate_kinship(seed=3)
+    cfg = TrainConfig(assumption=assumption, layers=layers, dim=16, pretrain_epochs=1,
+                      epochs=3, batch=512, negatives=4, lr=0.01, eval_every=1, seed=5)
+    fused = to_bytes(train(kg, cfg))
+    monkeypatch.setattr(encoder, "aggregate_messages", unfused.aggregate_messages)
+    monkeypatch.setattr(trainer, "adam_step", unfused.adam_step)
+    assert to_bytes(train(kg, cfg)) == fused
 
 
 class TestParamCountReport:

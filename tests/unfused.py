@@ -2,7 +2,10 @@
 
 ``score`` and ``score_triples`` are the unfused op chain that
 ``autodiff.triple_scores`` fuses: forward values must be bit-identical and
-gradients equal up to summation order.  The chunk loops further down are
+gradients equal up to summation order.  ``aggregate_messages`` is the op
+chain that ``autodiff.graph_conv`` fuses and ``adam_step`` the expression
+form of ``trainer.adam_step``; both must give the same bits, so either can
+be patched in for the package's own.  The chunk loops further down are
 bit-for-bit references for ``neighbor_sum`` and ``triple_scores``;
 ``walk_keys`` reads each edge's key back off a ``kg.EdgeWalk`` plan.
 """
@@ -35,6 +38,27 @@ def score_triples(entities, relations, heads, rels, tails, assumption: Assumptio
     """``score`` of id triples through three gathers."""
     return score(ad.gather_rows(entities, heads), ad.gather_rows(relations, rels),
                  ad.gather_rows(entities, tails), assumption, norm)
+
+
+def aggregate_messages(entities, relations, index, w0, assumption: Assumption):
+    """The entity half of a layer as five tape ops: neighbor_sum, a broadcast
+    1/degree hadamard, matmul, add and relu."""
+    sums = ad.neighbor_sum(entities, relations, index, assumption is Assumption.ROTATION)
+    inv_degree = np.where(index.degree > 0, 1.0 / np.maximum(index.degree, 1), 0.0)
+    # broadcast view costs no memory; zero rows stay zero through the matmul
+    scaled = ad.hadamard(sums, ad.tensor(np.broadcast_to(inv_degree[:, None], sums.shape)))
+    return ad.relu(ad.add(ad.matmul(scaled, w0), entities))
+
+
+def adam_step(param, grad, moments, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
+    """One bias-corrected Adam update as whole-array expressions; returns
+    (new_param, (m, v)) and leaves the given moments untouched."""
+    m, v = moments
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), (m, v)
 
 
 # Split-half chunk loops that ``autodiff.neighbor_sum`` and
