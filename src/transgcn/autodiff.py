@@ -3,9 +3,10 @@
 Every value is a 2-D row-major float64 ``Tensor``.  Ops are free functions;
 while a :class:`Tape` is active (as a context manager) and any input requires
 gradients, each op appends a backward closure to the tape.  ``backward``
-walks the tape once in reverse, accumulating into ``Tensor.grad``.  Leaves
-that require gradients start with a zero gradient; op results get theirs on
-the first accumulation, and ``backward`` skips results no gradient reached.
+walks the tape once in reverse, accumulating into ``Tensor.grad``.  Every
+tensor, leaf or op result, starts with no gradient and gets one on its first
+accumulation; ``backward`` skips results no gradient reached, and the owner
+of a leaf drops its gradient (``grad = None``) once it has used it.
 Tapes are rebuilt every training step and are confined to a single thread.
 
 All op outputs are checked for NaN/Inf at the op boundary; leaves are
@@ -42,7 +43,7 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.values = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros(arr.shape, dtype=np.float64) if requires_grad else None
+        self.grad: np.ndarray | None = None  # allocated on the first accumulation
         self.name = name
 
     @property
@@ -56,10 +57,6 @@ class Tensor:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -109,7 +106,7 @@ def _make_result(arr: np.ndarray, inputs: tuple[Tensor, ...], op: str, backward_
     tape = _active_tape()
     out = Tensor(arr)
     if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True  # its gradient is allocated on first accumulation
+        out.requires_grad = True
         tape._add(out, backward_fn)
     return out
 

@@ -65,7 +65,10 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         self._advance(n)
-        return self.fh.read(n)
+        data = self.fh.read(n)
+        if len(data) != n:  # the file shrank after its size was taken
+            raise CheckpointError("truncated checkpoint")
+        return data
 
     def unpack(self, fmt: str) -> tuple:
         """The little-endian fields of struct format ``fmt``, e.g. "QQ"."""
@@ -85,7 +88,8 @@ class _Reader:
             raise CheckpointError(f"{name} array is {(rows, cols)}, expected {shape}")
         self._advance(rows * cols * 8)
         out = np.empty(shape, dtype="<f8")
-        self.fh.readinto(out)
+        if self.fh.readinto(out) != out.nbytes:
+            raise CheckpointError("truncated checkpoint")
         return out
 
 

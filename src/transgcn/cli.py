@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import encode_arrays, materialize_relations
+from .encoder import Assumption, encode_arrays, materialize_relations
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -45,7 +45,6 @@ from .trainer import (
     param_count_report,
     train,
 )
-from .transform import Assumption
 
 logger = logging.getLogger("transgcn.cli")
 
@@ -417,9 +416,7 @@ def main(argv=None) -> int:
     except NumericError as err:  # includes TrainingAborted escaping from sweep
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ConfigError, ParseError, CheckpointError, ShapeError, ValueError) as err:
+    except (ConfigError, ParseError, CheckpointError, ShapeError, ValueError,
+            FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ a zero message.  With no layers, encoding returns the layer-0 embeddings
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -22,7 +23,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
 from .kg import NeighborhoodIndex
-from .transform import Assumption
+
+
+class Assumption(Enum):
+    """A neighbor's estimate: + r (inverse − r), or ∘ unit-modulus r (inverse ∘ r̄)."""
+
+    TRANSLATION = "translation"
+    ROTATION = "rotation"
 
 
 @dataclass

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import complex_product
+from .encoder import Assumption
 from .kg import KnowledgeGraph, NeighborhoodIndex
 from .kg import known_triple_set  # unused here; benchmarks/tracing.py wraps it by this name
-from .transform import Assumption
 
 HITS_CUTOFFS = (1, 3, 10)
 RANK_BLOCK = 2**15  # numbers in one query block x candidate tile x d difference

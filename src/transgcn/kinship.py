@@ -61,6 +61,10 @@ def generate_kinship(
     test_size: int = 150,
 ) -> KnowledgeGraph:
     """Build the toy graph; identical output for identical arguments."""
+    if founder_couples < 1:
+        raise ValueError(f"founder couples must be >= 1, got {founder_couples}")
+    if min(valid_size, test_size) < 0:
+        raise ValueError(f"split sizes must be >= 0, got valid {valid_size}, test {test_size}")
     rng = np.random.default_rng(seed)
     gen1_total = GEN1_PER_12 * founder_couples // FOUNDER_COUPLES
     gen1_couples = GEN1_COUPLES_PER_12 * founder_couples // FOUNDER_COUPLES

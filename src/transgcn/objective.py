@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .transform import Assumption
+from .encoder import Assumption
 
 
 def score_triples(

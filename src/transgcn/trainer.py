@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, backward
-from .encoder import ModelState, encode, encode_arrays, parameter_shapes
+from .encoder import Assumption, ModelState, encode, encode_arrays, parameter_shapes
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluator import evaluate
 from .kg import NEIGHBOR_CHUNK, KnowledgeGraph, build_index
@@ -33,7 +33,6 @@ from .objective import (
     sample_negatives,
     score_triples,
 )
-from .transform import Assumption
 
 logger = logging.getLogger("transgcn.trainer")
 
@@ -127,9 +126,9 @@ def config_from_text(text: str, where: str) -> dict:
     """Field values from flat `key = value` lines; `#` starts a comment.
 
     The one grammar of config text: ``--config`` files and the checkpoint
-    config block.  Errors name ``where:line``.
+    config block.  Errors name ``where:line``; a key given twice names both lines.
     """
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,6 +138,9 @@ def config_from_text(text: str, where: str) -> dict:
             raise ConfigError(f"{where}:{lineno}: expected key = value, got {raw!r}")
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"{where}:{lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{where}:{lineno}: config key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = CONFIG_FIELDS[key](value)
         except ValueError:
@@ -254,9 +256,9 @@ def estimate_peak_bytes(
 ) -> int:
     """Upper estimate of the heap ``train`` takes on top of the loaded graph.
 
-    It counts 8-byte words: 12 copies of the parameters (values, gradients and
-    Adam moments, live and in two best snapshots while one replaces the other),
-    4 entity tables per layer (output, scaled sums, relu mask, output gradient)
+    It counts 8-byte words: 7 copies of the parameters (live values, gradients
+    and Adam moments, and the values and moments of the one best snapshot), 4
+    entity tables per layer (output, scaled sums, relu mask, output gradient)
     plus 4 for the scores' gradient, temporaries and validation, 20 words per
     score row (the batch x (1 + negatives) sampled ids, scores and loss columns),
     the chunk x d temporaries of scoring and message passing, and 22 words per
@@ -266,7 +268,7 @@ def estimate_peak_bytes(
     d, n = config.dim, num_entities
     params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
-    words = (12 * params + (4 * config.layers + 4) * n * d + 20 * score_rows
+    words = (7 * params + (4 * config.layers + 4) * n * d + 20 * score_rows
              + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 22 * num_edges)
     return 8 * words
 
@@ -302,9 +304,8 @@ def train(
         state = _copy_state(init_state)
     else:
         state = init_parameters(config, kg.num_entities, kg.num_relations, init_rng)
-    params = state.parameters()
-    adam_m = {k: np.zeros_like(p.values) for k, p in params.items()}
-    adam_v = {k: np.zeros_like(p.values) for k, p in params.items()}
+    adam_m = {k: np.zeros_like(p.values) for k, p in state.parameters().items()}
+    adam_v = {k: np.zeros_like(p.values) for k, p in state.parameters().items()}
     step = 0
 
     def snapshot(mrr: float, epoch: int) -> Checkpoint:
@@ -348,8 +349,6 @@ def train(
                 loss = batch_self_adv_loss(
                     pos_scores, neg_scores, weights, config.gamma, n
                 )
-        for p in params.values():
-            p.zero_grad()
         backward(tape, loss)
         return float(loss.values[0, 0])
 
@@ -361,6 +360,9 @@ def train(
             if active == config.layers
             else dataclasses.replace(state, layers=state.layers[:active])
         )
+        # only the leaves this phase uses are updated: layer weights sit out the
+        # pretrain epochs, which come first, so their moments are zero when they join
+        params = step_state.parameters()
         order = sample_rng.permutation(len(kg.train))
         total = 0.0
         for start in range(0, len(order), config.batch):
@@ -372,6 +374,7 @@ def train(
                 updated, (m, v) = adam_step(
                     p.values, p.grad, (adam_m[name], adam_v[name]), config.lr, t=step
                 )
+                p.grad = None  # made again by the next backward pass
                 if not np.all(np.isfinite(updated)):
                     raise NumericError(f"non-finite update for {name} at step {step}")
                 adam_m[name], adam_v[name] = m, v
@@ -393,6 +396,7 @@ def train(
                 ).mrr
                 logger.info("%d\t%.6f\t%.6f", epoch, mean_loss, mrr)
                 if best is None or mrr > best.best_valid_mrr:
+                    best = None  # drop the old snapshot before copying the new one
                     best = snapshot(mrr, epoch)
             else:
                 logger.info("%d\t%.6f", epoch, mean_loss)

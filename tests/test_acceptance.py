@@ -108,8 +108,6 @@ def test_01_gradients_match_finite_differences():
             _, frozen = forward()
         with Tape() as tape:
             loss, _ = forward(frozen)
-        for p in state.parameters().values():
-            p.zero_grad()
         backward(tape, loss)
 
         coords = kinks = 0

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import transgcn.autodiff as ad
 import transgcn.kg as kg_module
 import unfused
+from transgcn.encoder import Assumption
 from transgcn.errors import NumericError, ShapeError, StateError
 from transgcn.kg import build_graph, build_index
-from transgcn.transform import Assumption
 from unfused import score_triples as unfused_score_triples
 
 
@@ -82,8 +82,13 @@ class TestTensorBasics:
     def test_float64_and_grad_allocation(self):
         t = ad.tensor(np.array([[1, 2]], dtype=np.int32), requires_grad=True)
         assert t.values.dtype == np.float64
-        assert t.grad.shape == (1, 2) and not t.grad.any()
+        assert t.grad is None  # made on the first accumulation, not at construction
         assert ad.tensor(np.ones((2, 2))).grad is None
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.scale(t, 3.0))
+        assert t.grad is None
+        ad.backward(tape, loss)
+        np.testing.assert_array_equal(t.grad, [[3.0, 3.0]])
 
 
 class TestForwardValues:

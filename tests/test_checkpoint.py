@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from transgcn import checkpoint
 from transgcn.checkpoint import (
     MAGIC,
     from_bytes,
@@ -159,8 +160,8 @@ class TestGoldenFile:
 
 def test_load_holds_little_more_than_the_arrays_it_returns(tmp_path):
     # a 2,000 x 64 model: the file is read straight into the returned arrays
-    # (values, gradients, Adam moments); reading the whole file first and
-    # copying each array out of it took about 2x
+    # (values and Adam moments); reading the whole file first and copying
+    # each array out of it took about 2x
     kg = build_graph([(f"e{i}", f"r{i % 10}", f"e{(i + 1) % 2000}") for i in range(2000)],
                      [], [])
     path = tmp_path / "model.ckpt"
@@ -171,7 +172,8 @@ def test_load_holds_little_more_than_the_arrays_it_returns(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = sum(t.values.nbytes + t.grad.nbytes for t in loaded.state.parameters().values())
+    assert all(t.grad is None for t in loaded.state.parameters().values())
+    arrays = sum(t.values.nbytes for t in loaded.state.parameters().values())
     arrays += sum(m.nbytes for m in (*loaded.adam_m.values(), *loaded.adam_v.values()))
     assert peak < 1.1 * arrays, peak / arrays
 
@@ -202,6 +204,24 @@ class TestCorruption:
         last = trained.adam_v["w1_0"].nbytes  # the file ends with this moment array
         path = tmp_path / "cut.ckpt"
         path.write_bytes(data[: -last // 2])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", ["config block", "last array"])
+    def test_file_that_shrinks_while_it_is_read(self, trained, tmp_path, monkeypatch, cut):
+        # as when train rewrites model.ckpt while eval loads it: the size was
+        # taken at open, so only the byte counts the reads return show the cut
+        data = to_bytes(trained)
+        path = tmp_path / "shrinking.ckpt"
+        path.write_bytes(data)
+        keep = CONFIG_START + 12 if cut == "config block" else len(data) - 4
+        opened = checkpoint._Reader.__init__
+
+        def open_then_cut(reader, fh):
+            opened(reader, fh)
+            os.truncate(path, keep)
+
+        monkeypatch.setattr(checkpoint._Reader, "__init__", open_then_cut)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
@@ -245,9 +265,10 @@ class TestCorruption:
             (lambda text: text.replace("dim=8", "dim=eight"), r"config block:3: .*bad value"),
             (lambda text: text.replace("lr=0.003", "lr=0.0"), "lr must be finite"),
             (lambda text: text.replace("seed=13", "seed 13"), r"config block:11: expected key"),
+            (lambda text: text + "dim=64\n", r"config block:16: config key 'dim' repeats line 3"),
         ],
         ids=["unknown-key", "missing-field", "unparseable-value", "invalid-value",
-             "no-equals"],
+             "no-equals", "duplicate-key"],
     )
     def test_bad_config_block(self, trained, edit, message):
         data = edit_config_block(to_bytes(trained), edit)

@@ -132,6 +132,17 @@ class TestTrainCommand:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_config_key_given_twice_exits_2(self, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("dim = 32\nepochs = 1\ndim = 64\n")
+        code = main([
+            "train", "--data", str(data_dir), "--config", str(cfg),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert f"{cfg}:3: config key 'dim' repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_config_line_without_equals_exits_2(self, tmp_path, data_dir, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dim = 8\n# flat model\nlayers 0\n")
@@ -515,6 +526,15 @@ class TestSweepCommand:
         assert code == 2
         assert "cannot evaluate an empty valid split" in capsys.readouterr().err
         assert not caplog.records  # no epoch line: nothing was trained
+
+
+    @pytest.mark.parametrize("flags", [["--couples", "0"], ["--valid-size", "-5"],
+                                       ["--test-size", "-1"]])
+    def test_gen_toy_refuses_sizes_it_cannot_honour(self, tmp_path, capsys, flags):
+        out = tmp_path / "toy"
+        assert main(["gen-toy", "--out", str(out), *flags]) == 2
+        assert "must be >=" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLoggingAndVersion:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from transgcn import evaluator
+from transgcn.encoder import Assumption
 from transgcn.evaluator import (
     KnownFilter,
     RankingReport,
@@ -16,7 +17,6 @@ from transgcn.evaluator import (
     rank_from_scores,
 )
 from transgcn.kg import build_graph, build_index, known_triple_set
-from transgcn.transform import Assumption
 
 
 def oracle_score(entities, relations, h, r, t, assumption, norm):

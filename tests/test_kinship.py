@@ -45,6 +45,16 @@ class TestShape:
         assert len(small.test) == 25
 
 
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(founder_couples=0), "founder couples must be >= 1, got 0"),
+        (dict(valid_size=-5), "split sizes must be >= 0, got valid -5, test 150"),
+        (dict(test_size=-1), "split sizes must be >= 0, got valid 150, test -1"),
+    ])
+    def test_sizes_it_cannot_honour_refused(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            generate_kinship(seed=0, **sizes)
+
+
 class TestDeterminism:
     def test_same_seed_identical(self, kg):
         again = generate_kinship(seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import transgcn.autodiff as ad
+from transgcn.encoder import Assumption
 from transgcn.objective import (
     batch_margin_loss,
     batch_self_adv_loss,
@@ -11,7 +12,6 @@ from transgcn.objective import (
     sample_negatives,
     score_triples,
 )
-from transgcn.transform import Assumption
 from unfused import score
 
 LN2 = float(np.log(2.0))

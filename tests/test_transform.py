@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import transgcn.autodiff as ad
+from transgcn.encoder import Assumption
 from transgcn.errors import ShapeError
 from transgcn.kg import KnowledgeGraph, build_index
-from transgcn.transform import Assumption
 
 
 def one_edge_sums(heads, tails, rels, assumption: Assumption) -> ad.Tensor:

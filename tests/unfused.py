@@ -14,7 +14,7 @@ import numpy as np
 
 import transgcn.autodiff as ad
 import transgcn.kg as kg
-from transgcn.transform import Assumption
+from transgcn.encoder import Assumption
 
 
 def score(h, r, t, assumption: Assumption, norm: str = "l1"):
