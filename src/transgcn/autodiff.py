@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kg
 from .errors import NumericError, ShapeError, StateError
 
 RESET_MODULUS = 1e-12  # below this a normalized complex coordinate becomes 1+0i
-TRIPLE_CHUNK = 256  # triples per triple_scores chunk; bounds its temporaries to chunk x d
 
 _tape_stack: list["Tape"] = []
 
@@ -127,52 +127,37 @@ def _grad_of(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _reduce_broadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum a full-shape gradient down to a broadcast (1, n) or (1, 1) operand."""
-    out = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> bool:
-    """Validate elementwise operand shapes; True when b broadcasts as a row."""
-    if a.shape == b.shape:
-        return False
-    if b.rows == 1 and b.cols in (1, a.cols):
-        return True
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible "
-                     "(second operand may be a broadcastable single row)")
+def _same_shapes(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    broadcast = _binary_shapes(a, b, "add")
+    _same_shapes(a, b, "add")
 
     def backward_fn(g):
         _accumulate(a, g)
-        _accumulate(b, _reduce_broadcast(g, b.shape) if broadcast else g)
+        _accumulate(b, g)
 
     return _make_result(a.values + b.values, (a, b), "add", backward_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    broadcast = _binary_shapes(a, b, "sub")
+    _same_shapes(a, b, "sub")
 
     def backward_fn(g):
         _accumulate(a, g)
-        _accumulate(b, -( _reduce_broadcast(g, b.shape) if broadcast else g))
+        _accumulate(b, -g)
 
     return _make_result(a.values - b.values, (a, b), "sub", backward_fn)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    broadcast = _binary_shapes(a, b, "hadamard")
+    _same_shapes(a, b, "hadamard")
 
     def backward_fn(g):
         _accumulate(a, g * b.values)
-        if b.requires_grad:
-            gb = g * a.values
-            _accumulate(b, _reduce_broadcast(gb, b.shape) if broadcast else gb)
+        _accumulate(b, g * a.values)
 
     return _make_result(a.values * b.values, (a, b), "hadamard", backward_fn)
 
@@ -239,8 +224,7 @@ def complex_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def complex_hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Tape-aware complex_product of two equal-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"complex_hadamard: shapes {a.shape} and {b.shape} differ")
+    _same_shapes(a, b, "complex_hadamard")
     _split(a, "complex_hadamard")
     out = complex_product(a.values, b.values)
 
@@ -431,7 +415,7 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
     """Scores −‖e_h ∘ r − e_t‖ of id triples as a (B, 1) column.
 
     ``norm`` is "l1" or "l2"; under translation the composition is e_h + r.
-    The rows are walked in TRIPLE_CHUNK runs, so no B x d array is kept: the
+    The rows are walked in runs of ``kg.CHUNK``, so no B x d array is kept: the
     backward recomputes each run's difference and scatters its gradients
     straight into the entity and relation gradients.  Products are planar;
     norms sum whole split-half rows, as per-plane sums round differently.
@@ -448,7 +432,7 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
     if not h.size == r.size == t.size:
         raise ShapeError(f"triple_scores: {h.size} heads, {r.size} relations, {t.size} tails")
     ent, rel = entities.values, relations.values
-    runs = [slice(s, s + TRIPLE_CHUNK) for s in range(0, h.size, TRIPLE_CHUNK)]
+    runs = [slice(s, s + kg.CHUNK) for s in range(0, h.size, kg.CHUNK)]
 
     def diff(run: slice) -> np.ndarray:
         rows = ent[t[run]]

@@ -29,16 +29,10 @@ import numpy as np
 
 from .encoder import ModelState, parameter_shapes
 from .errors import CheckpointError, ConfigError, NumericError
-from .trainer import (
-    CHECKPOINT_VERSION,
-    CONFIG_FIELDS,
-    Checkpoint,
-    TrainConfig,
-    config_from_text,
-    config_values,
-)
+from .trainer import CONFIG_FIELDS, Checkpoint, TrainConfig, config_from_text, config_values
 
 MAGIC = b"TGCNCKPT"
+VERSION = 1  # the only format version written or read
 
 
 def _text(s: str) -> bytes:
@@ -96,7 +90,7 @@ class _Reader:
 def _parts(checkpoint: Checkpoint):
     """The checkpoint's bytes, field by field, in file order."""
     config = "".join(f"{k}={v}\n" for k, v in config_values(checkpoint.config).items())
-    yield from (MAGIC, struct.pack("<I", checkpoint.version), _text(config))
+    yield from (MAGIC, struct.pack("<I", VERSION), _text(config))
     for table in (checkpoint.entity_names, checkpoint.relation_names):
         yield struct.pack("<Q", len(table))
         yield from map(_text, table)
@@ -119,7 +113,7 @@ def _read(fh) -> Checkpoint:
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError("bad checkpoint header")
     (version,) = r.unpack("I")
-    if version != CHECKPOINT_VERSION:
+    if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
         values = config_from_text(r.text(), "config block")
@@ -156,7 +150,6 @@ def _read(fh) -> Checkpoint:
         adam_step=adam_step,
         adam_m=adam_m,
         adam_v=adam_v,
-        version=version,
     )
 
 

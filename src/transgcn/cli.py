@@ -46,8 +46,6 @@ from .trainer import (
     train,
 )
 
-logger = logging.getLogger("transgcn.cli")
-
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 MEMINFO = "/proc/meminfo"
 
@@ -115,11 +113,25 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _numerics() -> dict:
+    """What trained bits depend on besides the seed: numpy, its BLAS, the BLAS threads."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy only prints its config
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "env": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def _write_manifest(out: Path, data_dir: Path, config: TrainConfig) -> Path:
     manifest = {
         "tool_version": __version__,
         "config": config_values(config),
         "seed": config.seed,
+        "numerics": _numerics(),
         "dataset": {
             "directory": str(data_dir),
             "sha256": {name: _sha256(data_dir / name) for name in SPLIT_FILES},

@@ -163,11 +163,11 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
                 fh.write(f"{kg.entity_names[h]}\t{kg.relation_names[r]}\t{kg.entity_names[t]}\n")
 
 
-NEIGHBOR_CHUNK = 256  # edges per message-passing chunk; bounds its temporaries to chunk x d
+CHUNK = 256  # edges or triples per chunk of message passing and scoring; read when used
 
 
 class EdgeWalk:
-    """Edges sorted stably by ``key``, cut every ``chunk`` (NEIGHBOR_CHUNK when made) edges.
+    """Edges sorted stably by ``key``, cut every ``chunk`` (CHUNK when made) edges.
 
     ``ids`` holds, in walk order, only the id arrays that a pass over the
     walk gathers.  Chunk c's runs of one key start at the chunk-local
@@ -176,7 +176,7 @@ class EdgeWalk:
     """
 
     def __init__(self, key: np.ndarray, *ids: np.ndarray):
-        self.chunk = chunk = NEIGHBOR_CHUNK
+        self.chunk = chunk = CHUNK
         order = np.argsort(key, kind="stable")
         self.ids = [a[order] for a in ids]
         key = key[order]

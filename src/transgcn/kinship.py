@@ -61,8 +61,8 @@ def generate_kinship(
     test_size: int = 150,
 ) -> KnowledgeGraph:
     """Build the toy graph; identical output for identical arguments."""
-    if founder_couples < 1:
-        raise ValueError(f"founder couples must be >= 1, got {founder_couples}")
+    if founder_couples < 2:  # one couple's children have no other family to marry into
+        raise ValueError(f"founder couples must be >= 2, got {founder_couples}")
     if min(valid_size, test_size) < 0:
         raise ValueError(f"split sizes must be >= 0, got valid {valid_size}, test {test_size}")
     rng = np.random.default_rng(seed)
@@ -204,6 +204,10 @@ def _split(
             relation_uses[r] -= 1
             chosen.append(int(idx))
             taken.add(int(idx))
+    if len(chosen) < wanted:
+        raise ValueError(f"asked for {valid_size} valid and {test_size} test triples, but only "
+                         f"{len(chosen)} of {len(triples)} can leave train while it covers "
+                         "every name")
     train = [triples[i] for i in range(len(triples)) if i not in taken]
     valid = [triples[i] for i in chosen[:valid_size]]
     test = [triples[i] for i in chosen[valid_size:]]

@@ -32,8 +32,9 @@ def score_triples(
                             assumption is Assumption.ROTATION, norm)
 
 
-def _gamma_const(gamma: float) -> Tensor:
-    return ad.tensor([[float(gamma)]])
+def _gamma_const(gamma: float, scores: Tensor) -> Tensor:
+    """The margin as a constant column of the scores' shape."""
+    return ad.tensor(np.full(scores.shape, float(gamma)))
 
 
 def batch_margin_loss(
@@ -49,7 +50,7 @@ def batch_margin_loss(
         raise ValueError("negative block layout does not match the positive count")
     repeat = np.repeat(np.arange(b), negatives_per_positive)
     pos_rep = ad.gather_rows(pos_scores, repeat)
-    hinge = ad.relu(ad.add(ad.sub(neg_scores, pos_rep), _gamma_const(gamma)))
+    hinge = ad.relu(ad.add(ad.sub(neg_scores, pos_rep), _gamma_const(gamma, neg_scores)))
     return ad.scale(ad.sum_all(hinge), 1.0 / b)
 
 
@@ -79,9 +80,8 @@ def batch_self_adv_loss(
         raise ValueError("negative block layout does not match the positive count")
     if np.asarray(weights).shape != (neg_scores.rows, 1):
         raise ValueError("weights must be a column matching the negative scores")
-    g = _gamma_const(gamma)
-    pos_term = ad.sum_all(ad.log_sigmoid(ad.add(pos_scores, g)))
-    neg_logs = ad.log_sigmoid(ad.scale(ad.add(neg_scores, g), -1.0))
+    pos_term = ad.sum_all(ad.log_sigmoid(ad.add(pos_scores, _gamma_const(gamma, pos_scores))))
+    neg_logs = ad.log_sigmoid(ad.scale(ad.add(neg_scores, _gamma_const(gamma, neg_scores)), -1.0))
     neg_term = ad.sum_all(ad.hadamard(neg_logs, ad.tensor(weights)))
     return ad.scale(ad.add(pos_term, neg_term), -1.0 / b)
 

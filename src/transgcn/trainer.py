@@ -25,7 +25,7 @@ from .autodiff import Tape, backward
 from .encoder import Assumption, ModelState, encode, encode_arrays, parameter_shapes
 from .errors import ConfigError, NumericError, ShapeError
 from .evaluator import evaluate
-from .kg import NEIGHBOR_CHUNK, KnowledgeGraph, build_index
+from .kg import CHUNK, KnowledgeGraph, build_index
 from .objective import (
     batch_margin_loss,
     batch_self_adv_loss,
@@ -36,7 +36,6 @@ from .objective import (
 
 logger = logging.getLogger("transgcn.trainer")
 
-CHECKPOINT_VERSION = 1
 SAMPLING_MODES = ("vanilla", "self-adversarial")
 NORMS = ("l1", "l2")
 
@@ -169,7 +168,6 @@ class Checkpoint:
     adam_step: int = 0
     adam_m: dict[str, np.ndarray] = field(default_factory=dict)
     adam_v: dict[str, np.ndarray] = field(default_factory=dict)
-    version: int = CHECKPOINT_VERSION
 
 
 class TrainingAborted(NumericError):
@@ -189,8 +187,8 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
     t: int = 1,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One bias-corrected Adam update, of m and v in place; returns (new_param, (m, v)).
+) -> np.ndarray:
+    """One bias-corrected Adam update, of m and v in place; returns the new parameter.
 
     The float ops are those of ``param - lr * m_hat / (sqrt(v_hat) + eps)``."""
     m, v = moments
@@ -208,7 +206,7 @@ def adam_step(
     out = v / (1.0 - beta2**t)  # sqrt(v_hat) + eps, then the new parameter
     np.sqrt(out, out=out)
     out += eps
-    return np.subtract(param, lr * (m / (1.0 - beta1**t)) / out, out=out), (m, v)
+    return np.subtract(param, lr * (m / (1.0 - beta1**t)) / out, out=out)
 
 
 def init_parameters(
@@ -261,7 +259,7 @@ def estimate_peak_bytes(
     entity tables per layer (output, scaled sums, relu mask, output gradient)
     plus 4 for the scores' gradient, temporaries and validation, 20 words per
     score row (the batch x (1 + negatives) sampled ids, scores and loss columns),
-    the chunk x d temporaries of scoring and message passing, and 22 words per
+    22 ``kg.CHUNK`` x d temporaries of scoring and message passing, and 22 words per
     train edge: up to 4 per edge of the index's walks (2E by destination, E by
     relation; two ids, a run start and a run key), 10 for order and index build.
     """
@@ -269,7 +267,7 @@ def estimate_peak_bytes(
     params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
     words = (7 * params + (4 * config.layers + 4) * n * d + 20 * score_rows
-             + (10 * ad.TRIPLE_CHUNK + 12 * NEIGHBOR_CHUNK) * d + 22 * num_edges)
+             + 22 * CHUNK * d + 22 * num_edges)
     return 8 * words
 
 
@@ -371,13 +369,12 @@ def train(
             _clip_gradients(params, config.clip)
             step += 1
             for name, p in params.items():
-                updated, (m, v) = adam_step(
+                updated = adam_step(
                     p.values, p.grad, (adam_m[name], adam_v[name]), config.lr, t=step
                 )
                 p.grad = None  # made again by the next backward pass
                 if not np.all(np.isfinite(updated)):
                     raise NumericError(f"non-finite update for {name} at step {step}")
-                adam_m[name], adam_v[name] = m, v
                 p.values = updated
         return total / len(order)
 

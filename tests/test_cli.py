@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from transgcn import __version__, cli
 from transgcn.checkpoint import from_bytes, load_checkpoint, to_bytes
 from transgcn.cli import build_parser, main, resolve_config
 from transgcn.errors import MemoryBudgetError
-from transgcn.kg import load_dataset
+from transgcn.kg import build_graph, load_dataset, write_dataset
 from transgcn.trainer import Checkpoint, TrainConfig, init_parameters
 
 TOY_ARGS = ["--seed", "0", "--couples", "3", "--valid-size", "20", "--test-size", "20"]
@@ -92,6 +96,31 @@ class TestTrainCommand:
         for name in ("train.txt", "valid.txt", "test.txt"):
             assert len(manifest["dataset"]["sha256"][name]) == 64
         assert manifest["artifacts"]["checkpoint"].endswith("model.ckpt")
+        numerics = manifest["numerics"]
+        assert numerics["numpy"] == np.__version__
+        assert set(numerics["blas"]) == {"name", "version", "openblas configuration"}
+        assert set(numerics["env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+    def test_same_bits_in_two_processes_under_the_same_blas_threads(self, tmp_path):
+        # above about 400 x 64 the weight gradient's bits follow the BLAS thread count,
+        # so the guarantee is the same seed, host and BLAS threads; the manifest names them
+        rng = np.random.default_rng(0)
+        rows = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in zip(
+            rng.integers(400, size=4000), rng.integers(10, size=4000), rng.integers(400, size=4000))]
+        data = tmp_path / "data"
+        write_dataset(build_graph(rows[:3900], rows[3900:3950], rows[3950:]), data)
+        src = str(Path(cli.__file__).parents[1])  # this checkout's package, not an installed one
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for run in ("a", "b"):
+            subprocess.run([sys.executable, "-m", "transgcn", "train", "--data", str(data),
+                            "--out", str(tmp_path / run), "--dim", "64", "--layers", "1",
+                            "--epochs", "2", "--batch", "1000", "--negatives", "2"],
+                           env=env, check=True, capture_output=True)
+        ckpt_a, ckpt_b = ((tmp_path / run / "model.ckpt").read_bytes() for run in ("a", "b"))
+        assert ckpt_a == ckpt_b
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["numerics"]["env"]["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_epoch_log_lines(self, run_dir):
         lines = (run_dir / "train.log").read_text().strip().splitlines()
@@ -529,11 +558,18 @@ class TestSweepCommand:
 
 
     @pytest.mark.parametrize("flags", [["--couples", "0"], ["--valid-size", "-5"],
-                                       ["--test-size", "-1"]])
+                                       ["--test-size", "-1"], ["--couples", "1"]])
     def test_gen_toy_refuses_sizes_it_cannot_honour(self, tmp_path, capsys, flags):
         out = tmp_path / "toy"
         assert main(["gen-toy", "--out", str(out), *flags]) == 2
         assert "must be >=" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_toy_refuses_more_eval_triples_than_it_can_move(self, tmp_path, capsys):
+        out = tmp_path / "toy"
+        flags = ["--valid-size", "5000", "--test-size", "10"]
+        assert main(["gen-toy", "--out", str(out), *flags]) == 2
+        assert "but only 1720 of 1782 can leave train" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from transgcn.encoder import (
     materialize_relations,
 )
 from transgcn.errors import ShapeError
-from transgcn.kg import NEIGHBOR_CHUNK, KnowledgeGraph, build_graph, build_index
+from transgcn.kg import CHUNK, KnowledgeGraph, build_graph, build_index
 
 RESET = 1e-12
 
@@ -346,8 +346,8 @@ def one_layer_peak(edges: int, n: int = 2000, d: int = 16,
 def test_message_passing_memory_does_not_grow_with_edges():
     # an edge x d tensor would grow the peak 3-4x from the first size to
     # the second; entity-sized arrays and fixed chunks keep it flat
-    small = one_layer_peak(16 * NEIGHBOR_CHUNK)
-    large = one_layer_peak(64 * NEIGHBOR_CHUNK)
+    small = one_layer_peak(16 * CHUNK)
+    large = one_layer_peak(64 * CHUNK)
     assert large < 1.5 * small, (small, large)
 
 
@@ -356,5 +356,5 @@ def test_a_layer_holds_few_entity_tables(assumption):
     # measured 5.4 (translation) and 5.8 (rotation) 2,000 x 32 tables: the
     # layer's output, its scaled sums and relu mask, the output's gradient and
     # at most three more in its backward; the five-op chain held 11.4 and 11.8
-    peak = one_layer_peak(8 * NEIGHBOR_CHUNK, d=32, assumption=assumption)
+    peak = one_layer_peak(8 * CHUNK, d=32, assumption=assumption)
     assert peak < 6.5 * 2000 * 32 * 8, peak / (2000 * 32 * 8)

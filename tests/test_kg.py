@@ -269,9 +269,9 @@ class TestNeighborhoodIndex:
 
     def test_sorted_orders_and_offsets(self, monkeypatch):
         rng = np.random.default_rng(9)
-        for chunk in [3, 7, kg_module.NEIGHBOR_CHUNK] * 4:
+        for chunk in [3, 7, kg_module.CHUNK] * 4:
             # the walks are planned when the index is built, from the chunk size then
-            monkeypatch.setattr(kg_module, "NEIGHBOR_CHUNK", chunk)
+            monkeypatch.setattr(kg_module, "CHUNK", chunk)
             rows = [
                 (f"e{rng.integers(25)}", f"r{rng.integers(4)}", f"e{rng.integers(25)}")
                 for _ in range(int(rng.integers(1, 150)))
@@ -296,7 +296,7 @@ class TestNeighborhoodIndex:
                 assert [held.tolist() for held in walk.ids] == [a[perm].tolist() for a in ids]
                 assert walk_keys(walk).tolist() == keys.tolist()
                 chunks = list(walk.chunks())
-                # a cut every NEIGHBOR_CHUNK edges
+                # a cut every CHUNK edges
                 edges = [slice(lo, lo + chunk) for lo in range(0, key.size, chunk)]
                 assert len(chunks) == len(edges)
                 for cut, (chunk_ids, starts, run_keys) in zip(edges, chunks):

@@ -46,13 +46,26 @@ class TestShape:
 
 
     @pytest.mark.parametrize("sizes, message", [
-        (dict(founder_couples=0), "founder couples must be >= 1, got 0"),
+        (dict(founder_couples=0), "founder couples must be >= 2, got 0"),
         (dict(valid_size=-5), "split sizes must be >= 0, got valid -5, test 150"),
         (dict(test_size=-1), "split sizes must be >= 0, got valid 150, test -1"),
+        (dict(founder_couples=1), "founder couples must be >= 2, got 1"),
+        (dict(valid_size=5000, test_size=10),
+         "asked for 5000 valid and 10 test triples, but only 1720 of 1782 can leave train"),
     ])
     def test_sizes_it_cannot_honour_refused(self, sizes, message):
         with pytest.raises(ValueError, match=message):
             generate_kinship(seed=0, **sizes)
+
+    def test_every_triple_it_can_move_is_given(self):
+        # seed 0 can move 1,720 of its 1,782 triples out of train, and all are given
+        kg = generate_kinship(seed=0, valid_size=1000, test_size=720)
+        assert (len(kg.train), len(kg.valid), len(kg.test)) == (62, 1000, 720)
+
+    def test_two_founder_couples_build(self):
+        for seed in range(20):
+            kg = generate_kinship(seed=seed, founder_couples=2, valid_size=0, test_size=0)
+            assert kg.num_relations == 10 and kg.num_entities == 4 + 7 + 6
 
 
 class TestDeterminism:

@@ -112,17 +112,17 @@ class TestAdamStep:
         param = np.array([[1.0, -2.0], [3.0, 0.5]])
         m = np.zeros_like(param)
         v = np.zeros_like(param)
-        new, (m2, v2) = adam_step(param, np.zeros_like(param), (m, v), lr=0.1, t=1)
+        new = adam_step(param, np.zeros_like(param), (m, v), lr=0.1, t=1)
         assert np.array_equal(new, param)
-        assert np.all(m2 == 0.0) and np.all(v2 == 0.0)
+        assert np.all(m == 0.0) and np.all(v == 0.0)
 
     def test_zero_gradient_decays_moments(self):
         param = np.array([[1.0]])
         m = np.array([[0.8]])
         v = np.array([[0.4]])
-        _, (m2, v2) = adam_step(param, np.zeros_like(param), (m, v), lr=0.1, t=5)
-        assert m2[0, 0] == pytest.approx(0.9 * 0.8, rel=1e-15)
-        assert v2[0, 0] == pytest.approx(0.999 * 0.4, rel=1e-15)
+        adam_step(param, np.zeros_like(param), (m, v), lr=0.1, t=5)
+        assert m[0, 0] == pytest.approx(0.9 * 0.8, rel=1e-15)
+        assert v[0, 0] == pytest.approx(0.999 * 0.4, rel=1e-15)
 
     def test_constant_gradient_steps_at_lr_times_sign(self):
         # bias correction makes m_hat = g and v_hat = g*g from the first step
@@ -132,7 +132,7 @@ class TestAdamStep:
         v = np.zeros_like(grad)
         lr = 0.005
         for t in range(1, 51):
-            new, (m, v) = adam_step(param, grad, (m, v), lr=lr, t=t)
+            new = adam_step(param, grad, (m, v), lr=lr, t=t)
             delta = new - param
             np.testing.assert_allclose(delta, -lr * np.sign(grad), rtol=1e-6)
             param = new
@@ -144,7 +144,7 @@ class TestAdamStep:
         v = np.zeros_like(x)
         for t in range(1, 801):
             grad = 2.0 * (x - target)
-            x, (m, v) = adam_step(x, grad, (m, v), lr=0.05, t=t)
+            x = adam_step(x, grad, (m, v), lr=0.05, t=t)
         np.testing.assert_allclose(x, target, atol=1e-3)
 
     def test_shape_mismatch_rejected(self):
@@ -168,9 +168,9 @@ class TestAdamStep:
         want = [param, (m.copy(), v.copy())]
         for t in range(1, 4):
             grad = rng.standard_normal((10, 5))
-            param, (m2, v2) = adam_step(param, grad, (m, v), lr=0.01, t=t)
-            assert m2 is m and v2 is v  # the moments are updated in place
-            want = unfused.adam_step(want[0], grad, want[1], lr=0.01, t=t)
+            param = adam_step(param, grad, (m, v), lr=0.01, t=t)
+            want[0] = unfused.adam_step(want[0], grad, want[1], lr=0.01, t=t)
+            # both update the moments they are given, in place; only the parameter is returned
             for got, expected in zip((param, m, v), (want[0], *want[1])):
                 assert np.array_equal(got, expected)
 

@@ -51,22 +51,22 @@ def aggregate_messages(entities, relations, index, w0, assumption: Assumption):
 
 
 def adam_step(param, grad, moments, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
-    """One bias-corrected Adam update as whole-array expressions; returns
-    (new_param, (m, v)) and leaves the given moments untouched."""
+    """One bias-corrected Adam update as whole-array expressions, stored into
+    the given m and v; returns the new parameter."""
     m, v = moments
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m[...] = beta1 * m + (1.0 - beta1) * grad
+    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), (m, v)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # Split-half chunk loops that ``autodiff.neighbor_sum`` and
 # ``autodiff.triple_scores`` must match bit for bit.  They build their own
 # edge orders from the train rows and form whole split-half products, where
 # the fused ops walk the plan of ``kg.build_index`` and form re and im planes.
-# Chunk sizes are read when called, so a test that patches
-# ``kg.NEIGHBOR_CHUNK`` or ``autodiff.TRIPLE_CHUNK`` patches both sides.
+# The chunk size is read when called, so a test that patches ``kg.CHUNK``
+# patches both sides.
 
 def complex_product(a, b):
     """Coordinate-wise complex product of split-half [re | im] rows."""
@@ -100,7 +100,7 @@ def neighbor_pass(values, rel_rows, train, rotation):
     with relation row R + r the inverse of row r; the 2E directed edges are
     summed by destination in stable destination order.
     """
-    chunk = kg.NEIGHBOR_CHUNK
+    chunk = kg.CHUNK
     heads, rels, tails = train.T
     src, dst = np.concatenate([heads, tails]), np.concatenate([tails, heads])
     if rel_rows is not None:
@@ -120,7 +120,7 @@ def neighbor_pass(values, rel_rows, train, rotation):
 
 def relation_pass(g, ent, train, rotation, shape):
     """The neighbor_sum relation gradient over upstream gradient g."""
-    chunk = kg.NEIGHBOR_CHUNK
+    chunk = kg.CHUNK
     heads, rels, tails = train.T
     out = np.zeros(shape)
     order = np.argsort(rels, kind="stable")
@@ -153,7 +153,7 @@ def walk_keys(walk):
 
 def triple_scores_and_gradients(ent, rel, h, r, t, rotation, norm, g):
     """triple_scores' (B, 1) value and its entity and relation gradients under g."""
-    runs = [slice(s, s + ad.TRIPLE_CHUNK) for s in range(0, h.size, ad.TRIPLE_CHUNK)]
+    runs = [slice(s, s + kg.CHUNK) for s in range(0, h.size, kg.CHUNK)]
 
     def diff(run):
         rows = _compose(ent[h[run]], rel[r[run]], rotation)
