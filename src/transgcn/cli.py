@@ -1,9 +1,10 @@
 """Command-line surface: train, eval, predict, inspect, sweep, gen-toy.
 
-Exit codes: 0 success, 2 for configuration/dataset/vocabulary problems
-and for training runs estimated to need more memory than is available, 3
-when training aborts on non-finite numbers.  TRANSGCN_LOG={error|info|
-debug} sets verbosity (default info); logs go to stderr, results to stdout.
+Exit codes: 0 success, 2 for configuration/dataset/vocabulary problems, for
+files that cannot be read or written, and for training runs estimated to need
+more memory than is available, 3 when training aborts on non-finite numbers.
+TRANSGCN_LOG={error|info|debug} sets verbosity (default info); logs go to
+stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import Assumption, encode_arrays, materialize_relations
+from .encoder import encode_arrays, materialize_relations
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -34,8 +35,6 @@ from .kg import SPLIT_FILES, build_index, load_dataset, write_dataset
 from .kinship import generate_kinship
 from .trainer import (
     CONFIG_FIELDS,
-    NORMS,
-    SAMPLING_MODES,
     TrainConfig,
     TrainingAborted,
     config_from_text,
@@ -48,14 +47,6 @@ from .trainer import (
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 MEMINFO = "/proc/meminfo"
-
-# Flag spellings for the config fields that take a name; "selfadv" is the
-# accepted short form of "self-adversarial".
-_FLAG_CHOICES = {
-    "assumption": [a.value for a in Assumption],
-    "norm": list(NORMS),
-    "sampling": [*SAMPLING_MODES, "selfadv"],
-}
 
 
 def configure_logging() -> None:
@@ -101,8 +92,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """One flag per config field: the field name with `_` spelled `-`."""
     p.add_argument("--config", help="flat key=value config file")
     for name, kind in CONFIG_FIELDS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=kind,
-                       choices=_FLAG_CHOICES.get(name))
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
 def _sha256(path: Path) -> str:
@@ -185,8 +175,8 @@ def _check_vocabulary(checkpoint, kg) -> None:
 
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
-    kg = load_dataset(data_dir)
     config = resolve_config(args)
+    kg = load_dataset(data_dir)
     _check_memory(config, kg)
     init_state = None
     if args.init_from:
@@ -321,8 +311,8 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    kg = load_dataset(args.data)
     config = resolve_config(args)
+    kg = load_dataset(args.data)
     try:
         counts = [int(x) for x in args.layer_counts.split(",") if x.strip() != ""]
     except ValueError:
@@ -428,7 +418,6 @@ def main(argv=None) -> int:
     except NumericError as err:  # includes TrainingAborted escaping from sweep
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, ParseError, CheckpointError, ShapeError, ValueError,
-            FileNotFoundError) as err:
+    except (ConfigError, ParseError, CheckpointError, ShapeError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

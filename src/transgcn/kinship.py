@@ -18,6 +18,8 @@ carved out so that every entity and relation still occurs in train.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .kg import KnowledgeGraph, build_graph
@@ -61,154 +63,100 @@ def generate_kinship(
     test_size: int = 150,
 ) -> KnowledgeGraph:
     """Build the toy graph; identical output for identical arguments."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if founder_couples < 2:  # one couple's children have no other family to marry into
         raise ValueError(f"founder couples must be >= 2, got {founder_couples}")
     if min(valid_size, test_size) < 0:
         raise ValueError(f"split sizes must be >= 0, got valid {valid_size}, test {test_size}")
     rng = np.random.default_rng(seed)
-    gen1_total = GEN1_PER_12 * founder_couples // FOUNDER_COUPLES
-    gen1_couples = GEN1_COUPLES_PER_12 * founder_couples // FOUNDER_COUPLES
-    gen2_total = GEN2_PER_12 * founder_couples // FOUNDER_COUPLES
-
+    weddings = GEN1_COUPLES_PER_12 * founder_couples // FOUNDER_COUPLES
     founders = [f"g0_{i:02d}" for i in range(2 * founder_couples)]
-    gen1 = [f"g1_{i:02d}" for i in range(gen1_total)]
-    gen2 = [f"g2_{i:02d}" for i in range(gen2_total)]
+    gen1 = [f"g1_{i:02d}" for i in range(GEN1_PER_12 * founder_couples // FOUNDER_COUPLES)]
+    gen2 = [f"g2_{i:02d}" for i in range(GEN2_PER_12 * founder_couples // FOUNDER_COUPLES)]
 
     spouse_of: dict[str, str] = {}
-    for i in range(founder_couples):
-        spouse_of[founders[2 * i]] = founders[2 * i + 1]
-        spouse_of[founders[2 * i + 1]] = founders[2 * i]
-
     parents_of: dict[str, tuple[str, str]] = {}
     family_of: dict[str, int] = {}
-    children_of_couple: list[list[str]] = []
-    counts = _spread_children(rng, founder_couples, gen1_total, 3, MAX_CHILDREN)
-    cursor = 0
-    for i, k in enumerate(counts):
-        kids = gen1[cursor : cursor + k]
-        cursor += k
-        children_of_couple.append(kids)
-        for kid in kids:
-            parents_of[kid] = (founders[2 * i], founders[2 * i + 1])
-            family_of[kid] = i
+    siblings_of: dict[str, list[str]] = {}
+
+    def bear(kids, couples, first_family: int, base: int, cap: int) -> None:
+        """Hand out `kids` in order, base to cap per couple; family ids count from first_family."""
+        counts = _spread_children(rng, len(couples), len(kids), base, cap)
+        start = 0
+        for family, (couple, k) in enumerate(zip(couples, counts), first_family):
+            brood = kids[start : start + k]
+            start += k
+            for kid in brood:
+                parents_of[kid] = couple
+                family_of[kid] = family
+                siblings_of[kid] = [s for s in brood if s != kid]
+
+    founder_pairs = list(zip(founders[::2], founders[1::2]))
+    for a, b in founder_pairs:
+        spouse_of[a], spouse_of[b] = b, a
+    bear(gen1, founder_pairs, 0, 3, MAX_CHILDREN)
 
     # marry across families, greedily along a shuffled order
-    order = [gen1[i] for i in rng.permutation(gen1_total)]
-    married = 0
-    for a_pos, a in enumerate(order):
-        if married == gen1_couples:
+    order = [gen1[i] for i in rng.permutation(len(gen1))]
+    for pos, a in enumerate(order):
+        if len(spouse_of) == 2 * (founder_couples + weddings):
             break
         if a in spouse_of:
             continue
-        for b in order[a_pos + 1 :]:
+        for b in order[pos + 1 :]:
             if b not in spouse_of and family_of[a] != family_of[b]:
-                spouse_of[a] = b
-                spouse_of[b] = a
-                married += 1
+                spouse_of[a], spouse_of[b] = b, a
                 break
+    # each gen-1 couple once, named by its earlier member, in gen-1 order
+    couples = [(a, spouse_of[a]) for a in gen1 if gen1.index(a) < gen1.index(spouse_of.get(a, a))]
+    bear(gen2, couples, founder_couples, 2, 3)
 
-    gen1_pairs = []
-    seen_pair = set()
-    for person in gen1:
-        partner = spouse_of.get(person)
-        if partner and person not in seen_pair:
-            gen1_pairs.append((person, partner))
-            seen_pair.update((person, partner))
-
-    counts2 = _spread_children(rng, len(gen1_pairs), gen2_total, 2, 3)
-    cursor = 0
-    for pair_idx, k in enumerate(counts2):
-        kids = gen2[cursor : cursor + k]
-        cursor += k
-        children_of_couple.append(kids)
-        for kid in kids:
-            parents_of[kid] = gen1_pairs[pair_idx]
-            family_of[kid] = founder_couples + pair_idx
-
-    siblings_of: dict[str, list[str]] = {}
-    for kids in children_of_couple:
-        for kid in kids:
-            siblings_of[kid] = [s for s in kids if s != kid]
-
-    triples: list[tuple[str, str, str]] = []
-    seen: set[tuple[str, str, str]] = set()
-
-    def put(h: str, r: str, t: str) -> None:
-        row = (h, r, t)
-        if row not in seen:
-            seen.add(row)
-            triples.append(row)
-
-    for person in founders + gen1:
-        if person in spouse_of:
-            put(person, "spouse", spouse_of[person])
+    triples = [(p, "spouse", spouse_of[p]) for p in founders + gen1 if p in spouse_of]
     for kid, (pa, pb) in parents_of.items():
-        put(pa, "parent", kid)
-        put(pb, "parent", kid)
-        put(kid, "child", pa)
-        put(kid, "child", pb)
+        triples += [(pa, "parent", kid), (pb, "parent", kid),
+                    (kid, "child", pa), (kid, "child", pb)]
     for kid, sibs in siblings_of.items():
-        for s in sibs:
-            put(kid, "sibling", s)
+        triples += [(kid, "sibling", s) for s in sibs]
     for kid in gen2:
         for parent in parents_of[kid]:
             for grand in parents_of[parent]:
-                put(grand, "grandparent", kid)
-                put(kid, "grandchild", grand)
+                triples += [(grand, "grandparent", kid), (kid, "grandchild", grand)]
             for uncle in siblings_of[parent]:
-                put(uncle, "auntuncle", kid)
-                put(kid, "nephewniece", uncle)
+                triples += [(uncle, "auntuncle", kid), (kid, "nephewniece", uncle)]
     for kid in gen2:
-        for other in gen2:
-            if other == kid or family_of[other] == family_of[kid]:
-                continue
-            related = any(
-                u in parents_of[other] for p in parents_of[kid] for u in siblings_of[p]
-            )
-            if related:
-                put(kid, "cousin", other)
+        uncles = [u for p in parents_of[kid] for u in siblings_of[p]]
+        triples += [(kid, "cousin", other) for other in gen2 if family_of[other] != family_of[kid]
+                    and any(u in parents_of[other] for u in uncles)]
     for person in gen1:
-        partner = spouse_of.get(person)
-        if partner:
-            for p in parents_of[partner]:
-                put(p, "inlaw", person)
-                put(person, "inlaw", p)
-            for s in siblings_of[partner]:
-                put(s, "inlaw", person)
-                put(person, "inlaw", s)
+        if person in spouse_of:
+            partner = spouse_of[person]
+            for kin in (*parents_of[partner], *siblings_of[partner]):
+                triples += [(kin, "inlaw", person), (person, "inlaw", kin)]
 
-    return _split(rng, triples, valid_size, test_size)
+    return _split(rng, list(dict.fromkeys(triples)), valid_size, test_size)
 
 
 def _split(
     rng, triples: list[tuple[str, str, str]], valid_size: int, test_size: int
 ) -> KnowledgeGraph:
     """Move eval triples out only while train still covers every name."""
-    entity_uses: dict[str, int] = {}
-    relation_uses: dict[str, int] = {}
-    for h, r, t in triples:
-        entity_uses[h] = entity_uses.get(h, 0) + 1
-        entity_uses[t] = entity_uses.get(t, 0) + 1
-        relation_uses[r] = relation_uses.get(r, 0) + 1
+    uses = Counter(name for row in triples for name in row)  # entity, relation names differ
     wanted = valid_size + test_size
     chosen: list[int] = []
-    taken = set()
-    for idx in rng.permutation(len(triples)):
+    for idx in rng.permutation(len(triples)).tolist():
         if len(chosen) == wanted:
             break
         h, r, t = triples[idx]
-        need_h = 2 if h != t else 3
-        if entity_uses[h] >= need_h and entity_uses[t] >= 2 and relation_uses[r] >= 2:
-            entity_uses[h] -= 1
-            entity_uses[t] -= 1
-            relation_uses[r] -= 1
-            chosen.append(int(idx))
-            taken.add(int(idx))
+        if uses[h] >= (2 if h != t else 3) and uses[t] >= 2 and uses[r] >= 2:
+            uses.subtract(triples[idx])
+            chosen.append(idx)
     if len(chosen) < wanted:
         raise ValueError(f"asked for {valid_size} valid and {test_size} test triples, but only "
                          f"{len(chosen)} of {len(triples)} can leave train while it covers "
                          "every name")
-    train = [triples[i] for i in range(len(triples)) if i not in taken]
+    taken = set(chosen)
+    train = [row for i, row in enumerate(triples) if i not in taken]
     valid = [triples[i] for i in chosen[:valid_size]]
     test = [triples[i] for i in chosen[valid_size:]]
     return build_graph(train, valid, test)

@@ -70,9 +70,13 @@ class TrainConfig:
             try:
                 self.assumption = Assumption(self.assumption.lower())
             except ValueError:
-                raise ConfigError(f"unknown assumption {self.assumption!r}") from None
+                choices = tuple(a.value for a in Assumption)
+                raise ConfigError(
+                    f"assumption must be one of {choices}, got {self.assumption!r}") from None
         self.norm = str(self.norm).lower()
-        if self.sampling == "selfadv":  # accepted CLI spelling
+        if self.sampling is not None:
+            self.sampling = str(self.sampling).lower()
+        if self.sampling == "selfadv":  # accepted short spelling
             self.sampling = "self-adversarial"
         if self.gamma is None:
             self.gamma = 12.0 if self.assumption is Assumption.ROTATION else 1.0
@@ -87,6 +91,7 @@ class TrainConfig:
             (math.isfinite(self.lr) and self.lr > 0,
              f"lr must be finite and positive, got {self.lr}"),
             (self.layers >= 0, f"layers must be >= 0, got {self.layers}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.dim >= 2, f"dim must be >= 2, got {self.dim}"),
             (self.negatives >= 1, f"negatives must be >= 1, got {self.negatives}"),
             (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),

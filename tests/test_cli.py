@@ -206,6 +206,25 @@ class TestTrainCommand:
         ck = load_checkpoint(out / "model.ckpt")
         assert np.all(np.isfinite(ck.state.entity_embed.values))
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--norm", "bogus"], "norm must be one of ('l1', 'l2'), got 'bogus'"),
+        (["--assumption", "bogus"],
+         "assumption must be one of ('translation', 'rotation'), got 'bogus'"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_bad_config_refused_before_writing(self, tmp_path, data_dir, capsys, flags,
+                                               message):
+        out = tmp_path / "refused"
+        code = main(["train", "--data", str(data_dir), "--out", str(out), *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_refused_before_reading_the_dataset(self, tmp_path, capsys):
+        code = main(["train", "--data", str(tmp_path / "nope"), "--norm", "bogus"])
+        assert code == 2
+        assert "norm must be one of" in capsys.readouterr().err
+
     def test_warm_start_from_checkpoint(self, tmp_path, data_dir, run_dir):
         out = tmp_path / "resumed"
         code = main([
@@ -295,6 +314,47 @@ class TestConfigSurface:
             relation_names=["r", "s"], best_valid_mrr=0.5, epoch=3,
         )
         assert from_bytes(to_bytes(checkpoint)).config == from_flags
+
+
+    def test_names_any_case_same_from_flag_and_file(self, tmp_path):
+        names = {"assumption": "Rotation", "norm": "L2", "sampling": "Vanilla"}
+        flags = [f"--{key}={value}" for key, value in names.items()]
+        cfg_file = tmp_path / "names.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in names.items()))
+        parser = build_parser()
+        from_flags = resolve_config(parser.parse_args(["train", "--data", "d", *flags]))
+        from_file = resolve_config(
+            parser.parse_args(["train", "--data", "d", "--config", str(cfg_file)])
+        )
+        assert from_flags == from_file == TrainConfig(
+            assumption="rotation", norm="l2", sampling="vanilla")
+
+
+SMALL_RUN = ["--dim", "8", "--layers", "0", "--epochs", "1", "--batch", "64"]
+
+
+class TestFileErrors:
+    """A file where a directory is wanted, or the reverse, exits 2 with the OS error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--checkpoint", "{dir}", "--data", "{data}"], "Is a directory"),
+        (["train", "--data", "{data}", "--out", "{dir}/run", "--init-from", "{dir}",
+          *SMALL_RUN], "Is a directory"),
+        (["train", "--data", "{data}", "--out", "{file}", *SMALL_RUN], "File exists"),
+        (["gen-toy", "--out", "{file}"], "File exists"),
+        (["sweep", "--data", "{data}", "--layer-counts", "0", "--out", "{file}", *SMALL_RUN],
+         "File exists"),
+    ])
+    def test_exits_2_naming_the_error(self, tmp_path, data_dir, capsys, argv, message):
+        (tmp_path / "d").mkdir()
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        paths = dict(dir=tmp_path / "d", data=data_dir, file=taken)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert taken.read_text() == "x"
+        assert not (tmp_path / "d" / "run").exists()
 
 
 class TestEvalCommand:
@@ -558,7 +618,8 @@ class TestSweepCommand:
 
 
     @pytest.mark.parametrize("flags", [["--couples", "0"], ["--valid-size", "-5"],
-                                       ["--test-size", "-1"], ["--couples", "1"]])
+                                       ["--test-size", "-1"], ["--couples", "1"],
+                                       ["--seed", "-1"]])
     def test_gen_toy_refuses_sizes_it_cannot_honour(self, tmp_path, capsys, flags):
         out = tmp_path / "toy"
         assert main(["gen-toy", "--out", str(out), *flags]) == 2

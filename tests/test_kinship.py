@@ -1,8 +1,11 @@
 """Synthetic kinship generator: counts, determinism, planted structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from transgcn.kg import SPLIT_FILES, write_dataset
 from transgcn.kinship import RELATION_NAMES, generate_kinship
 
 
@@ -57,6 +60,10 @@ class TestShape:
         with pytest.raises(ValueError, match=message):
             generate_kinship(seed=0, **sizes)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_kinship(seed=-1)
+
     def test_every_triple_it_can_move_is_given(self):
         # seed 0 can move 1,720 of its 1,782 triples out of train, and all are given
         kg = generate_kinship(seed=0, valid_size=1000, test_size=720)
@@ -79,6 +86,31 @@ class TestDeterminism:
     def test_different_seed_differs(self, kg):
         other = generate_kinship(seed=1)
         assert name_triples(kg) != name_triples(other)
+
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+@pytest.mark.parametrize("args, digests", [
+    (dict(), ("825d5d9a249408439c67ffb5a3b1f342030120fad11402896262c7f0923dcb8e",
+              "8912a09203f37ff6f879fff155bce91612062dc8c5dfd5ef1335e181a98fd97f",
+              "37fd9aca64118a86ff9d943d3469b3371bef6e812651e647e4f21108e6faf610")),
+    (dict(founder_couples=2, seed=5, valid_size=10, test_size=3),
+     ("84898d3de764a94ebedea85625d7af10bcb99fef09f4f8f5eefe090ac21c920c",
+      "070e8daa3e671097790cb9f3bcced8e51721c4bd48edf76c48c71577ffd571d8",
+      "7e3db956d98c507b66a82b808051d503f6c9cf50174d88964d9a6f8585f6b53f")),
+    (dict(founder_couples=13, seed=1, valid_size=0, test_size=0),
+     ("4a1b3dce239e5ef2b40ec33126eb56bdbfab50d11e817ba0c0578b416aebc8ae", EMPTY, EMPTY)),
+    (dict(founder_couples=25, seed=7, valid_size=10, test_size=3),
+     ("db813e75c6f2b5df012026eda5172bf3f707fa0504ecc62d421f290464e4108d",
+      "372a0e3b6d0e9f4c373eb7f92542d005de3522a734a2225caefe07d7a366c5d1",
+      "3dace3556ac94972c61161e7177926f432bbd95cfa0eaa2f0720966701737028")),
+])
+def test_written_bytes_are_pinned(tmp_path, args, digests):
+    write_dataset(generate_kinship(**args), tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in SPLIT_FILES)
+    assert got == digests
 
 
 class TestSplitHygiene:

@@ -94,6 +94,7 @@ class TestTrainConfig:
             {"gamma": float("inf")},
             {"alpha": -1.0},
             {"lr": float("inf")},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
