@@ -42,11 +42,15 @@ toy:
 
 # Full-scale reproduction targets. These are research-length jobs, not CI
 # checks. On a synthetic FB15k-237-shaped graph (d=500, batch 512, 16
-# negatives) one one-layer rotation step took 4.6-4.9 s on a 2-core host,
-# so an epoch of 532 steps takes about 41-43 minutes. fullscale-fb15k237 runs
+# negatives) one one-layer rotation step took 3.9-5.4 s on a 2-core host,
+# so an epoch of 532 steps takes about 35-48 minutes. fullscale-fb15k237 runs
 # 100 zero-layer epochs, then 100 two-layer epochs; a two-layer step took
-# 8.5-9.3 s there, so the two-layer epochs alone take about 125-137 hours.
-# The WN18RR-shaped step time is unmeasured. Reference targets: FB15k-237
+# 7.6-8.4 s there, so the two-layer epochs alone take about 112-124 hours.
+# fullscale-wn18rr runs 100 zero-layer epochs, then 100 one-layer epochs; on a
+# synthetic WN18RR-shaped graph a one-layer step took 2.8-3.6 s, so an epoch of
+# 170 steps takes about 8-10 minutes and the 100 one-layer epochs about 13-17
+# hours, plus 2.6-3.9 hours of zero-layer epochs (0.56-0.82 s a step).
+# Validation passes come on top. Reference targets: FB15k-237
 # filtered MRR 0.356 +/- 0.02, WN18RR filtered MRR 0.485 +/- 0.02.
 fullscale-fb15k237:
 	@test -n "$(TRANSGCN_FB15K237_DIR)" || { echo "set TRANSGCN_FB15K237_DIR first"; exit 2; }

@@ -7,6 +7,9 @@ walks the tape once in reverse, accumulating into ``Tensor.grad``.  Every
 tensor, leaf or op result, starts with no gradient and gets one on its first
 accumulation; ``backward`` skips results no gradient reached, and the owner
 of a leaf drops its gradient (``grad = None``) once it has used it.
+An op result's gradient belongs to its record, and nothing reads it after
+that record runs, so ``relu`` and ``graph_conv`` mask it in place and adopt
+it as an input's gradient (``_accumulate(..., fresh=True)``).
 Tapes are rebuilt every training step and are confined to a single thread.
 
 All op outputs are checked for NaN/Inf at the op boundary; leaves are
@@ -369,8 +372,9 @@ def graph_conv(entities: Tensor, relations: Tensor, index, w0: Tensor, rotation:
 
     D counts the edges that end at each entity.  The float ops, their order and
     finiteness checks are those of the chain neighbor_sum, 1/degree hadamard,
-    matmul, add, relu; but it keeps only the output, scaled sums and relu mask,
-    and adds into ``entities`` in the chain's order: masked gradient, neighbor adjoint.
+    matmul, add, relu; but it keeps only the output and, until W0's gradient is
+    taken, the scaled sums, and adds into ``entities`` in the chain's order:
+    masked gradient, neighbor adjoint.
     """
     if w0.shape != (entities.cols,) * 2:
         raise ShapeError(f"graph_conv: w0 is {w0.shape}, expected {(entities.cols,) * 2}")
@@ -381,13 +385,14 @@ def graph_conv(entities: Tensor, relations: Tensor, index, w0: Tensor, rotation:
     out = _check_finite(scaled, "hadamard") @ w0.values
     _check_finite(out, "matmul")
     out += entities.values
-    mask = _check_finite(out, "add") > 0  # gradient is 0 at exactly 0
-    np.maximum(out, 0.0, out=out)
+    np.maximum(_check_finite(out, "add"), 0.0, out=out)
 
     def backward_fn(g):
-        g = g * mask
+        nonlocal scaled
+        g *= out > 0  # relu's mask, read off its output; 0 at exactly 0
         _accumulate(entities, g, fresh=True)
         _accumulate(w0, scaled.T @ g)
+        scaled = None
         g = g @ w0.values.T
         g *= inv_degree
         neighbor_backward(g)
@@ -473,12 +478,13 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0  # gradient is 0 at exactly 0
+    out = np.maximum(a.values, 0.0)
 
     def backward_fn(g):
-        _accumulate(a, g * mask)
+        g *= out > 0  # the mask, read off the output; gradient is 0 at exactly 0
+        _accumulate(a, g, fresh=True)
 
-    return _make_result(np.maximum(a.values, 0.0), (a,), "relu", backward_fn)
+    return _make_result(out, (a,), "relu", backward_fn)
 
 
 def log_sigmoid(a: Tensor) -> Tensor:

@@ -218,18 +218,13 @@ def _load_matching(args):
 
 def cmd_eval(args) -> int:
     checkpoint, kg = _load_matching(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the ranking, so a bad --out fails fast
     config = checkpoint.config
     index = build_index(kg)
     entities, relations = encode_arrays(checkpoint.state, index)
-    report = evaluate(
-        kg,
-        args.split,
-        entities,
-        relations,
-        config.assumption,
-        config.norm,
-        threads=args.threads,
-    )
+    report = evaluate(kg, args.split, entities, relations, config.assumption, config.norm,
+                      threads=args.threads)
     payload = report.to_dict()
     print(f"split\t{args.split}")
     print(f"mrr\t{report.mrr:.6f}")
@@ -243,8 +238,6 @@ def cmd_eval(args) -> int:
         for row in rows:
             print(f"[{row['min_degree']},{row['max_degree']})\t"
                   f"{row['queries']}\t{row['mrr']:.6f}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return 0
 
@@ -322,14 +315,14 @@ def cmd_sweep(args) -> int:
     for count in counts:  # refuse a bad count before training any model
         config.replace(layers=count)
     _check_memory(config.replace(layers=max(counts)), kg)
+    if args.out:  # before the training, so a bad --out fails fast
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     rows = layer_sweep(kg, config, counts, split=args.split)
     print("layers\tmrr\thits@10")
     for row in rows:
         print(f"{row['layers']}\t{row['mrr']:.6f}\t{row['hits10']:.6f}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.json").write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+        Path(args.out, "sweep.json").write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

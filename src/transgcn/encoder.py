@@ -3,9 +3,9 @@
 Each layer turns every train edge into two directed estimates (incoming and
 outgoing), sums the estimates per entity, scales by 1/degree, applies the
 shared projection W0, and updates entities as relu(message + previous).
-That is one fused op, ``autodiff.graph_conv``, which keeps only its output,
-the scaled sums and the relu mask; its neighbor sum walks each edge both ways
-in the chunks ``kg.build_index`` plans once, so no edge x d array is kept.
+That is one fused op, ``autodiff.graph_conv``, keeping only its output and,
+until its backward, the scaled sums; its neighbor sum walks each edge both
+ways in the chunks that ``kg.build_index`` plans, so no edge x d array is kept.
 Relations evolve through their own projection W1; under rotation the rows
 are renormalized to unit modulus afterwards.  Zero-degree entities receive
 a zero message.  With no layers, encoding returns the layer-0 embeddings

@@ -260,18 +260,20 @@ def estimate_peak_bytes(
     """Upper estimate of the heap ``train`` takes on top of the loaded graph.
 
     It counts 8-byte words: 7 copies of the parameters (live values, gradients
-    and Adam moments, and the values and moments of the one best snapshot), 4
-    entity tables per layer (output, scaled sums, relu mask, output gradient)
-    plus 4 for the scores' gradient, temporaries and validation, 20 words per
-    score row (the batch x (1 + negatives) sampled ids, scores and loss columns),
-    22 ``kg.CHUNK`` x d temporaries of scoring and message passing, and 22 words per
-    train edge: up to 4 per edge of the index's walks (2E by destination, E by
-    relation; two ids, a run start and a run key), 10 for order and index build.
+    and Adam moments, and the values and moments of the one best snapshot), 2
+    entity tables per layer (output, scaled sums; every layer's output gradient
+    is the entity gradient) plus 3 for the temporaries of the largest phase
+    (backward: gradients through W0 and the neighbor sum; Adam; validation),
+    20 words per score row (the batch x (1 + negatives) sampled ids, scores and
+    loss columns), 22 ``kg.CHUNK`` x d temporaries of scoring and message
+    passing, and 22 words per train edge: up to 4 per edge of the index's walks
+    (2E by destination, E by relation; two ids, a run start and a run key), 10
+    for order and index build.
     """
     d, n = config.dim, num_entities
     params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
     score_rows = config.batch * (1 + config.negatives)
-    words = (7 * params + (4 * config.layers + 4) * n * d + 20 * score_rows
+    words = (7 * params + (2 * config.layers + 3) * n * d + 20 * score_rows
              + 22 * CHUNK * d + 22 * num_edges)
     return 8 * words
 

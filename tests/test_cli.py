@@ -356,6 +356,23 @@ class TestFileErrors:
         assert taken.read_text() == "x"
         assert not (tmp_path / "d" / "run").exists()
 
+    @pytest.mark.parametrize("argv, work", [
+        (["eval", "--checkpoint", "{ckpt}", "--data", "{data}", "--out", "{file}"], "evaluate"),
+        (["sweep", "--data", "{data}", "--layer-counts", "0", "--out", "{file}", *SMALL_RUN],
+         "layer_sweep"),
+    ])
+    def test_a_bad_out_exits_2_before_the_work(self, tmp_path, data_dir, run_dir, monkeypatch,
+                                                capsys, argv, work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was made")
+
+        monkeypatch.setattr(cli, work, refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        paths = dict(ckpt=run_dir / "model.ckpt", data=data_dir, file=taken)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert "File exists" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_prints_and_writes_report(self, run_dir, data_dir, tmp_path, capsys):

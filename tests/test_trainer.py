@@ -512,7 +512,8 @@ def test_peak_estimate_bounds_measured_peak(shape):
     finally:
         tracemalloc.stop()
     estimate = estimate_peak_bytes(config, kg.num_entities, kg.num_relations, len(kg.train))
-    assert peak <= estimate < 3 * peak, (peak, estimate)
+    # measured 2.39 and 2.20 times the peak; edges and fixed chunks dominate these shapes
+    assert peak <= estimate < 2.6 * peak, (peak, estimate)
 
 
 def test_every_step_starts_without_gradients(monkeypatch, small_kinship):
