@@ -28,6 +28,12 @@ check: test
 	  rm -f $$out; \
 	done; done
 
+# sha256 of the checkpoint train() returns for 24 benchmark-derived configs, one
+# line each; two checkouts print the same lines when their training is
+# bit-identical.  One BLAS thread, since more can change the mid-scale bits.
+digests:
+	OPENBLAS_NUM_THREADS=1 $(RUN) tools/checkpoint_digests.py
+
 # Line count of the package source, the design-size metric of ROADMAP.md.
 loc:
 	@cat src/transgcn/*.py | wc -l
@@ -70,4 +76,4 @@ fullscale-wn18rr:
 	$(RUN) -m transgcn eval --checkpoint runs/wn18rr/model.ckpt \
 	  --data $(TRANSGCN_WN18RR_DIR) --split test --out runs/wn18rr
 
-.PHONY: test acceptance check loc toy fullscale-fb15k237 fullscale-wn18rr
+.PHONY: test acceptance check digests loc toy fullscale-fb15k237 fullscale-wn18rr

@@ -31,6 +31,10 @@ class Assumption(Enum):
     TRANSLATION = "translation"
     ROTATION = "rotation"
 
+    @classmethod
+    def _missing_(cls, value):  # names are case-insensitive: "Rotation" is ROTATION
+        return cls.__members__.get(str(value).upper())
+
 
 @dataclass
 class LayerParams:
@@ -53,6 +57,9 @@ class ModelState:
     entity_embed: Tensor
     relation_params: Tensor
     layers: list[LayerParams]
+
+    def __post_init__(self) -> None:
+        self.assumption = Assumption(self.assumption)
 
     @classmethod
     def from_arrays(cls, assumption: Assumption, arrays) -> "ModelState":
@@ -107,6 +114,7 @@ def parameter_shapes(
     Entities are d wide; relations are d-wide vectors under translation and
     d/2 phase angles under rotation; each layer holds a d x d w0 and w1.
     """
+    assumption = Assumption(assumption)
     if assumption is Assumption.ROTATION and dim % 2:
         raise ShapeError(f"rotation needs an even entity width, got {dim}")
     relation_width = dim // 2 if assumption is Assumption.ROTATION else dim
@@ -127,12 +135,13 @@ def materialize_relations(state: ModelState) -> Tensor:
 def aggregate_messages(entities: Tensor, relations: Tensor, index: NeighborhoodIndex,
                        w0: Tensor, assumption: Assumption) -> Tensor:
     """The entity half of a layer: relu(D⁻¹ · neighborhood estimates · W0 + entities)."""
-    return ad.graph_conv(entities, relations, index, w0, assumption is Assumption.ROTATION)
+    rotation = Assumption(assumption) is Assumption.ROTATION
+    return ad.graph_conv(entities, relations, index, w0, rotation)
 
 
 def update_relations(relations: Tensor, w1: Tensor, assumption: Assumption) -> Tensor:
     out = ad.relu(ad.matmul(relations, w1))
-    if assumption is Assumption.ROTATION:
+    if Assumption(assumption) is Assumption.ROTATION:
         out = ad.complex_unit_normalize(out)
     return out
 

@@ -29,7 +29,7 @@ def score_triples(
 ) -> Tensor:
     """Row-wise score -||compose(e_h, r) - e_t|| of id triples; shape (B, 1)."""
     return ad.triple_scores(entities, relations, heads, rels, tails,
-                            assumption is Assumption.ROTATION, norm)
+                            Assumption(assumption) is Assumption.ROTATION, norm)
 
 
 def _gamma_const(gamma: float, scores: Tensor) -> Tensor:

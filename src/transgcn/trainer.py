@@ -11,9 +11,11 @@ triples entering the loss.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import logging
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,13 +68,12 @@ class TrainConfig:
     clip: float = 10.0  # global L2 gradient norm cap, 0 disables
 
     def __post_init__(self) -> None:
-        if isinstance(self.assumption, str):
-            try:
-                self.assumption = Assumption(self.assumption.lower())
-            except ValueError:
-                choices = tuple(a.value for a in Assumption)
-                raise ConfigError(
-                    f"assumption must be one of {choices}, got {self.assumption!r}") from None
+        try:
+            self.assumption = Assumption(self.assumption)
+        except ValueError:
+            choices = tuple(a.value for a in Assumption)
+            raise ConfigError(
+                f"assumption must be one of {choices}, got {self.assumption!r}") from None
         self.norm = str(self.norm).lower()
         if self.sampling is not None:
             self.sampling = str(self.sampling).lower()
@@ -84,6 +85,13 @@ class TrainConfig:
             self.sampling = (
                 "self-adversarial" if self.assumption is Assumption.ROTATION else "vanilla"
             )
+        for name, kind in CONFIG_FIELDS.items():  # plain numbers, whose text form reads back
+            value = getattr(self, name)
+            if kind is not str:
+                if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+                    raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}"
+                                      f", got {value!r}")
+                setattr(self, name, kind(value))
         self.validate()
 
     def validate(self) -> None:
@@ -162,7 +170,7 @@ def config_values(config: TrainConfig) -> dict:
 
 @dataclass
 class Checkpoint:
-    """Best model of a run plus everything needed to resume or evaluate it."""
+    """A model and its Adam state; ``train`` updates one in place and deep-copies each best."""
 
     config: TrainConfig
     state: ModelState
@@ -183,14 +191,14 @@ class TrainingAborted(NumericError):
         self.checkpoint = checkpoint
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and denominator floor
+
+
 def adam_step(
     param: np.ndarray,
     grad: np.ndarray,
     moments: tuple[np.ndarray, np.ndarray],
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     t: int = 1,
 ) -> np.ndarray:
     """One bias-corrected Adam update, of m and v in place; returns the new parameter.
@@ -204,14 +212,14 @@ def adam_step(
         )
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    out = v / (1.0 - beta2**t)  # sqrt(v_hat) + eps, then the new parameter
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    out = v / (1.0 - BETA2**t)  # sqrt(v_hat) + eps, then the new parameter
     np.sqrt(out, out=out)
-    out += eps
-    return np.subtract(param, lr * (m / (1.0 - beta1**t)) / out, out=out)
+    out += EPS
+    return np.subtract(param, lr * (m / (1.0 - BETA1**t)) / out, out=out)
 
 
 def init_parameters(
@@ -236,11 +244,6 @@ def init_parameters(
 def _shapes(config: TrainConfig, num_entities: int, num_relations: int) -> dict:
     return parameter_shapes(config.assumption, config.dim, config.layers,
                             num_entities, num_relations)
-
-
-def _copy_state(state: ModelState) -> ModelState:
-    arrays = [p.values.copy() for p in state.parameters().values()]
-    return ModelState.from_arrays(state.assumption, arrays)
 
 
 def _clip_gradients(params: dict[str, ad.Tensor], max_norm: float) -> float:
@@ -281,7 +284,7 @@ def estimate_peak_bytes(
 def train(
     kg: KnowledgeGraph, config: TrainConfig, init_state: ModelState | None = None
 ) -> Checkpoint:
-    """Run the two-phase schedule and return the best checkpoint.
+    """Run the two-phase schedule; return the best checkpoint, else the live run.
 
     ``init_state`` warm-starts from existing parameters, whose assumption
     must be the config's and whose shapes must be the ``parameter_shapes``
@@ -306,26 +309,15 @@ def train(
             init_state.validate(expected=_shapes(config, kg.num_entities, kg.num_relations))
         except ShapeError as err:
             raise ConfigError(f"warm-start state does not fit config and graph: {err}") from None
-        state = _copy_state(init_state)
+        # fresh leaves: a deep copy would carry the caller's gradients and flags
+        arrays = [p.values.copy() for p in init_state.parameters().values()]
+        state = ModelState.from_arrays(config.assumption, arrays)
     else:
         state = init_parameters(config, kg.num_entities, kg.num_relations, init_rng)
-    adam_m = {k: np.zeros_like(p.values) for k, p in state.parameters().items()}
-    adam_v = {k: np.zeros_like(p.values) for k, p in state.parameters().items()}
-    step = 0
-
-    def snapshot(mrr: float, epoch: int) -> Checkpoint:
-        return Checkpoint(
-            config=config,
-            state=_copy_state(state),
-            entity_names=list(kg.entity_names),
-            relation_names=list(kg.relation_names),
-            best_valid_mrr=mrr,
-            epoch=epoch,
-            adam_step=step,
-            adam_m={k: m.copy() for k, m in adam_m.items()},
-            adam_v={k: v.copy() for k, v in adam_v.items()},
-        )
-
+    run = Checkpoint(config, state, list(kg.entity_names), list(kg.relation_names),
+                     best_valid_mrr=float("nan"), epoch=0)
+    for name, p in state.parameters().items():
+        run.adam_m[name], run.adam_v[name] = np.zeros_like(p.values), np.zeros_like(p.values)
     pretrain_end = min(config.pretrain_epochs, config.epochs)
     has_valid = len(kg.valid) > 0
     best: Checkpoint | None = None
@@ -358,7 +350,6 @@ def train(
         return float(loss.values[0, 0])
 
     def run_epoch(epoch: int) -> float:
-        nonlocal step
         active = 0 if epoch <= pretrain_end else config.layers
         step_state = (
             state
@@ -374,18 +365,16 @@ def train(
             chunk = order[start : start + config.batch]
             total += loss_and_gradients(step_state, chunk) * len(chunk)
             _clip_gradients(params, config.clip)
-            step += 1
+            run.adam_step += 1
             for name, p in params.items():
-                updated = adam_step(
-                    p.values, p.grad, (adam_m[name], adam_v[name]), config.lr, t=step
-                )
+                moments = (run.adam_m[name], run.adam_v[name])
+                updated = adam_step(p.values, p.grad, moments, config.lr, t=run.adam_step)
                 p.grad = None  # made again by the next backward pass
                 if not np.all(np.isfinite(updated)):
-                    raise NumericError(f"non-finite update for {name} at step {step}")
+                    raise NumericError(f"non-finite update for {name} at step {run.adam_step}")
                 p.values = updated
         return total / len(order)
 
-    epoch = 0
     try:
         for epoch in range(1, config.epochs + 1):
             mean_loss = run_epoch(epoch)
@@ -401,18 +390,19 @@ def train(
                 logger.info("%d\t%.6f\t%.6f", epoch, mean_loss, mrr)
                 if best is None or mrr > best.best_valid_mrr:
                     best = None  # drop the old snapshot before copying the new one
-                    best = snapshot(mrr, epoch)
+                    best = copy.deepcopy(run)
+                    best.best_valid_mrr, best.epoch = mrr, epoch
             else:
                 logger.info("%d\t%.6f", epoch, mean_loss)
+            run.epoch = epoch  # the last whole epoch, the one an abort falls back to
     except NumericError as err:
-        fallback = best if best is not None else snapshot(float("nan"), max(epoch - 1, 0))
+        if best is None:
+            best = run
+            for p in state.parameters().values():
+                p.grad = None
         logger.error("aborting at epoch %d: %s", epoch, err)
-        raise TrainingAborted(
-            f"training diverged at epoch {epoch}: {err}", fallback
-        ) from err
-    if best is None:
-        best = snapshot(float("nan"), config.epochs)
-    return best
+        raise TrainingAborted(f"training diverged at epoch {epoch}: {err}", best) from err
+    return run if best is None else best
 
 
 def layer_sweep(kg: KnowledgeGraph, config: TrainConfig, layer_counts,

@@ -19,7 +19,7 @@ from transgcn.checkpoint import (
     to_bytes,
 )
 from transgcn.encoder import encode_arrays
-from transgcn.errors import CheckpointError
+from transgcn.errors import CheckpointError, ConfigError
 from transgcn.evaluator import evaluate
 from transgcn.kg import build_graph, build_index
 from transgcn.kinship import generate_kinship
@@ -119,6 +119,28 @@ class TestRoundTrip:
         ck = train(kg, TrainConfig(dim=4, layers=0, epochs=1, seed=1))
         assert math.isnan(ck.best_valid_mrr)
         assert math.isnan(from_bytes(to_bytes(ck)).best_valid_mrr)
+
+
+class TestConfigValues:
+    # every value TrainConfig accepts is a plain int or float whose text form
+    # the checkpoint reads back
+    @pytest.mark.parametrize("field, value", [("eval_every", 1.0), ("layers", 1.5),
+                                              ("lr", "0.1"), ("gamma", "6"), ("seed", "1")])
+    def test_non_numbers_refused_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_and_bool_values_round_trip(self, kinship):
+        cfg = TrainConfig(dim=np.int64(8), layers=True, epochs=np.int64(1), batch=np.int32(64),
+                          lr=np.float64(0.003), alpha=1, seed=np.uint8(2))
+        assert (cfg.dim, cfg.layers, cfg.epochs, cfg.batch, cfg.seed) == (8, 1, 1, 64, 2)
+        for name in ("dim", "layers", "epochs", "batch", "seed"):
+            assert type(getattr(cfg, name)) is int, name
+        for name in ("lr", "alpha", "gamma", "clip"):
+            assert type(getattr(cfg, name)) is float, name
+        data = to_bytes(train(kinship, cfg))
+        assert from_bytes(data).config == cfg
+        assert to_bytes(from_bytes(data)) == data
 
 
 class TestGoldenFile:

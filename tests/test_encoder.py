@@ -14,9 +14,13 @@ from transgcn.encoder import (
     encode,
     encode_arrays,
     materialize_relations,
+    parameter_shapes,
+    update_relations,
 )
 from transgcn.errors import ShapeError
+from transgcn.evaluator import evaluate
 from transgcn.kg import CHUNK, KnowledgeGraph, build_graph, build_index
+from transgcn.objective import score_triples
 
 RESET = 1e-12
 
@@ -369,3 +373,33 @@ def test_another_layer_holds_two_entity_tables(assumption):
     one, two = (encode_peak(8 * CHUNK, d=32, assumption=assumption, layers=layers)
                 for layers in (1, 2))
     assert two - one < 2.3 * 2000 * 32 * 8, (two - one) / (2000 * 32 * 8)
+
+
+@pytest.mark.parametrize("name", ["rotation", "Rotation", "ROTATION"])
+def test_assumption_names_read_as_the_enum_everywhere(name):
+    # a name is read case-insensitively by every function that branches on
+    # the assumption; unread, "rotation" would score and shape as translation
+    rot = Assumption.ROTATION
+    assert Assumption(name) is rot
+    assert parameter_shapes(name, 4, 0, 3, 2) == parameter_shapes(rot, 4, 0, 3, 2)
+    assert parameter_shapes(name, 4, 0, 3, 2)["relation_params"] == (2, 2)
+    kg = build_graph([("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")],
+                     [("a", "s", "c")], [])
+    rng = np.random.default_rng(0)
+    arrays = [rng.normal(size=(3, 4)), rng.normal(size=(2, 2)),
+              rng.normal(size=(4, 4)), rng.normal(size=(4, 4))]
+    assert ModelState.from_arrays(name, arrays).assumption is rot
+    state = ModelState.from_arrays(rot, arrays)
+    entities, relations = state.entity_embed, materialize_relations(state)
+    w0, w1 = state.layers[0].w0, state.layers[0].w1
+    index = build_index(kg)
+    for got, want in [
+        (aggregate_messages(entities, relations, index, w0, name),
+         aggregate_messages(entities, relations, index, w0, rot)),
+        (update_relations(relations, w1, name), update_relations(relations, w1, rot)),
+        (score_triples(entities, relations, [0], [1], [2], name),
+         score_triples(entities, relations, [0], [1], [2], rot)),
+    ]:
+        assert np.array_equal(got.values, want.values)
+    e, r = encode_arrays(state, index)
+    assert evaluate(kg, "valid", e, r, name).mrr == evaluate(kg, "valid", e, r, rot).mrr

@@ -13,7 +13,13 @@ import unfused
 from transgcn import autodiff as ad
 from transgcn import encoder, trainer
 from transgcn.checkpoint import to_bytes
-from transgcn.encoder import Assumption, ModelState, encode_arrays, parameter_shapes
+from transgcn.encoder import (
+    Assumption,
+    LayerParams,
+    ModelState,
+    encode_arrays,
+    parameter_shapes,
+)
 from transgcn.errors import ConfigError, NumericError, ShapeError
 from transgcn.evaluator import evaluate
 from transgcn.kg import build_graph, build_index
@@ -430,6 +436,8 @@ class TestTrain:
         ck = train(kg, TrainConfig(dim=4, layers=0, epochs=2, batch=8, seed=9))
         assert math.isnan(ck.best_valid_mrr)
         assert ck.epoch == 2
+        assert ck.adam_step == 2  # one step an epoch, each counted
+        assert all(p.grad is None for p in ck.state.parameters().values())
 
     def test_rotation_smoke(self, small_kinship):
         cfg = TrainConfig(
@@ -564,3 +572,72 @@ def test_one_best_snapshot_is_held_at_a_time(monkeypatch):
     one, three = last_validation_peak(1), last_validation_peak(3)
     assert validations == ["valid"] * 4
     assert three - one < n * d * 8, (three - one) / (n * d * 8)
+
+
+def steps_per_epoch(kg, config):
+    return math.ceil(len(kg.train) / config.batch)
+
+
+def test_best_snapshot_is_independent_of_the_live_run(monkeypatch, small_kinship):
+    # validation reads 1, 3, 2: the best is epoch 2's, and epoch 3's updates
+    # of the live parameters and moments must not reach it
+    def mrrs(values):
+        values = iter(values)
+        return lambda *args: types.SimpleNamespace(mrr=next(values))
+
+    cfg = TrainConfig(dim=8, layers=1, epochs=3, eval_every=1, batch=64, lr=0.01, seed=12)
+    monkeypatch.setattr(trainer, "evaluate", mrrs([1.0, 3.0, 2.0]))
+    best = train(small_kinship, cfg)
+    monkeypatch.setattr(trainer, "evaluate", mrrs([1.0, 3.0]))
+    two = train(small_kinship, cfg.replace(epochs=2))
+    assert (best.epoch, best.best_valid_mrr) == (2, 3.0)
+    assert best.adam_step == two.adam_step == 2 * steps_per_epoch(small_kinship, cfg)
+    for name, p in two.state.parameters().items():
+        got = best.state.parameters()[name]
+        assert got.values.tobytes() == p.values.tobytes(), name
+        assert got.grad is None, name
+        assert best.adam_m[name].tobytes() == two.adam_m[name].tobytes(), name
+        assert best.adam_v[name].tobytes() == two.adam_v[name].tobytes(), name
+
+
+def test_warm_start_from_leaves_without_gradients(small_kinship):
+    # the warm start builds fresh trainable leaves: the caller's leaves keep
+    # their arrays, flags and gradients, and a stale NaN gradient on one of
+    # them does not reach the run
+    cfg = TrainConfig(dim=8, layers=1, epochs=2, batch=64, seed=13)
+    arrays = [p.values for p in init_parameters(
+        cfg, small_kinship.num_entities, small_kinship.num_relations,
+        np.random.default_rng(0)).parameters().values()]
+    plain = [ad.tensor(a) for a in arrays]
+    caller = ModelState(cfg.assumption, plain[0], plain[1], [LayerParams(plain[2], plain[3])])
+    caller.entity_embed.grad = np.full(caller.entity_embed.shape, np.nan)
+    before = [a.copy() for a in arrays]
+    ck = train(small_kinship, cfg, init_state=caller)
+    assert ck.adam_step == 2 * steps_per_epoch(small_kinship, cfg)
+    assert not np.array_equal(ck.state.entity_embed.values, before[0])
+    for leaf, kept in zip(caller.parameters().values(), before):
+        assert leaf.values.tobytes() == kept.tobytes()
+        assert not leaf.requires_grad
+    assert np.isnan(caller.entity_embed.grad).all()
+    fresh = ModelState.from_arrays(cfg.assumption, [a.copy() for a in before])
+    assert to_bytes(train(small_kinship, cfg, init_state=fresh)) == to_bytes(ck)
+
+
+def test_an_abort_before_any_best_drops_the_gradients(monkeypatch, small_kinship):
+    # a NumericError out of the second step's clip leaves every leaf with a
+    # gradient; the checkpoint it carries holds none
+    calls, real_clip = [], trainer._clip_gradients
+
+    def clip(params, max_norm):
+        calls.append(max_norm)
+        if len(calls) == 2:
+            raise NumericError("gradient norm is not finite")
+        return real_clip(params, max_norm)
+
+    monkeypatch.setattr(trainer, "_clip_gradients", clip)
+    with pytest.raises(TrainingAborted) as info:
+        train(small_kinship, TrainConfig(dim=8, layers=1, epochs=2, batch=64, seed=14))
+    ck = info.value.checkpoint
+    assert (ck.epoch, ck.adam_step) == (0, 1)
+    assert math.isnan(ck.best_valid_mrr)
+    assert all(p.grad is None for p in ck.state.parameters().values())
