@@ -12,8 +12,8 @@ that record runs, so ``relu`` and ``graph_conv`` mask it in place and adopt
 it as an input's gradient (``_accumulate(..., fresh=True)``).
 Tapes are rebuilt every training step and are confined to a single thread.
 
-All op outputs are checked for NaN/Inf at the op boundary; leaves are
-checked at construction.  Complex rows are stored split-half, [re | im];
+``_check_finite`` refuses NaN/Inf in op outputs at the op boundary and in
+leaves at construction.  Complex rows are stored split-half, [re | im];
 the fused ops gather and multiply them as separate re and im planes.
 ``neighbor_sum`` walks each edge both ways, the reverse under an inverse row;
 its value and both gradients are sums over a ``kg.EdgeWalk``, taken by one
@@ -29,6 +29,7 @@ from . import kg
 from .errors import NumericError, ShapeError, StateError
 
 RESET_MODULUS = 1e-12  # below this a normalized complex coordinate becomes 1+0i
+NORMS = ("l1", "l2")  # the distances a triple is scored by
 
 _tape_stack: list["Tape"] = []
 
@@ -40,14 +41,14 @@ class Tensor:
     leaves, ``_make_result`` for op results.
     """
 
-    def __init__(self, values: np.ndarray, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, values: np.ndarray, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D matrices, got shape {arr.shape}")
         self.values = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None  # allocated on the first accumulation
-        self.name = name
+        self.name: str | None = None  # set on a model's parameters
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -66,11 +67,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
-def tensor(values, requires_grad: bool = False, name: str | None = None) -> Tensor:
+def tensor(values, requires_grad: bool = False) -> Tensor:
     """Create a finite leaf tensor (lists accepted, cast to float64)."""
-    leaf = Tensor(np.asarray(values, dtype=np.float64), requires_grad=requires_grad, name=name)
-    if not np.isfinite(leaf.values).all():
-        raise NumericError("non-finite values in tensor")
+    leaf = Tensor(values, requires_grad)
+    _check_finite(leaf.values, "tensor")
     return leaf
 
 
@@ -89,28 +89,19 @@ class Tape:
         popped = _tape_stack.pop()
         assert popped is self
 
-    def _add(self, out: Tensor, backward_fn) -> None:
-        self.records.append((out, backward_fn))
 
-
-def _active_tape() -> Tape | None:
-    return _tape_stack[-1] if _tape_stack else None
-
-
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+def _check_finite(arr, what: str):  # the one NaN/inf check, also for factors and updates
     if not np.isfinite(arr).all():
-        raise NumericError(f"non-finite result in {op}")
+        raise NumericError(f"non-finite values in {what}")
     return arr
 
 
 def _make_result(arr: np.ndarray, inputs: tuple[Tensor, ...], op: str, backward_fn) -> Tensor:
-    """Wrap an op result, recording the backward closure when tracking."""
-    _check_finite(arr, op)
-    tape = _active_tape()
-    out = Tensor(arr)
-    if tape is not None and any(t.requires_grad for t in inputs):
+    """Wrap a finite op result, recording the backward closure when tracking."""
+    out = Tensor(_check_finite(arr, op))
+    if _tape_stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape._add(out, backward_fn)
+        _tape_stack[-1].records.append((out, backward_fn))
     return out
 
 
@@ -177,9 +168,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, k: float) -> Tensor:
-    k = float(k)
-    if not np.isfinite(k):
-        raise NumericError("scale factor must be finite")
+    k = _check_finite(float(k), "scale factor")
 
     def backward_fn(g):
         _accumulate(a, k * g)
@@ -425,8 +414,8 @@ def triple_scores(entities: Tensor, relations: Tensor, heads, rels, tails,
     straight into the entity and relation gradients.  Products are planar;
     norms sum whole split-half rows, as per-plane sums round differently.
     """
-    if norm not in ("l1", "l2"):
-        raise ValueError(f"unknown norm {norm!r}, expected 'l1' or 'l2'")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
     if relations.cols != entities.cols:
         raise ShapeError(f"triple_scores: relation width {relations.cols} != "
                          f"entity width {entities.cols}")

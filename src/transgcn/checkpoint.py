@@ -126,8 +126,12 @@ def _read(fh) -> Checkpoint:
     entity_names = [r.text() for _ in range(r.unpack("Q")[0])]
     relation_names = [r.text() for _ in range(r.unpack("Q")[0])]
     best_valid_mrr, epoch = r.unpack("dQ")
-    shapes = parameter_shapes(config.assumption, config.dim, config.layers,
-                              len(entity_names), len(relation_names))
+    names = (len(entity_names), len(relation_names))
+    # the claimed layers' arrays (values, m, v) must fit in what is left before they are listed
+    layer = list(parameter_shapes(config.assumption, config.dim, 1, *names).values())[2:]
+    if config.layers * 3 * sum(16 + 8 * rows * cols for rows, cols in layer) > r.size - r.pos:
+        raise CheckpointError(f"checkpoint too short for {config.layers} layers")
+    shapes = parameter_shapes(config.assumption, config.dim, config.layers, *names)
     arrays = [r.array(name, shape) for name, shape in shapes.items()]
     try:
         state = ModelState.from_arrays(config.assumption, arrays)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -69,18 +70,14 @@ def configure_logging() -> None:
     console.setLevel(_LOG_LEVELS[raw])
 
 
-def read_config_file(path) -> dict:
-    """Field values of a ``--config`` file (grammar: ``config_from_text``)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from err
-    return config_from_text(text, str(path))
-
-
 def resolve_config(args) -> TrainConfig:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    """Defaults, overlaid by the config file (``config_from_text``), overlaid by explicit flags."""
+    values, path = {}, getattr(args, "config", None)
+    if path:
+        try:
+            values = config_from_text(Path(path).read_text(encoding="utf-8"), str(path))
+        except OSError as err:
+            raise ConfigError(f"cannot read config file {path}: {err}") from err
     for key in CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -104,12 +101,13 @@ def _sha256(path: Path) -> str:
 
 
 def _numerics() -> dict:
-    """What trained bits depend on besides the seed: numpy, its BLAS, the BLAS threads."""
+    """What trained bits depend on besides the seed: Python, numpy, its BLAS and its threads."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # an older numpy only prints its config
         blas = {}
     return {
+        "python": platform.python_version(),  # sum() of floats rounds differently from 3.12 on
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
         "env": {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import complex_product
+from .autodiff import NORMS, complex_product
 from .encoder import Assumption
 from .kg import KnowledgeGraph, NeighborhoodIndex
 from .kg import known_triple_set  # unused here; benchmarks/tracing.py wraps it by this name
@@ -78,7 +78,7 @@ def candidate_scores(
     triple.
     """
     compose = complex_product if Assumption(assumption) is Assumption.ROTATION else np.add
-    if norm not in ("l1", "l2"):
+    if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}")
     rel = relations[r]
     if side == "tail":

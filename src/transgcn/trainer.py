@@ -39,7 +39,6 @@ from .objective import (
 logger = logging.getLogger("transgcn.trainer")
 
 SAMPLING_MODES = ("vanilla", "self-adversarial")
-NORMS = ("l1", "l2")
 
 
 @dataclass
@@ -91,7 +90,10 @@ class TrainConfig:
                 if not isinstance(value, numbers.Integral if kind is int else numbers.Real):
                     raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}"
                                       f", got {value!r}")
-                setattr(self, name, kind(value))
+                try:
+                    setattr(self, name, kind(value))
+                except OverflowError:  # float() of an int too large for a float
+                    raise ConfigError(f"{name} is too large for a float") from None
         self.validate()
 
     def validate(self) -> None:
@@ -107,11 +109,12 @@ class TrainConfig:
             (self.eval_every >= 1, f"eval_every must be >= 1, got {self.eval_every}"),
             (self.pretrain_epochs >= 0,
              f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}"),
-            (self.clip >= 0, f"clip must be >= 0, got {self.clip}"),
+            (math.isfinite(self.clip) and self.clip >= 0,
+             f"clip must be finite and >= 0, got {self.clip}"),
             (math.isfinite(self.gamma), f"gamma must be finite, got {self.gamma}"),
             (math.isfinite(self.alpha) and self.alpha >= 0,
              f"alpha must be finite and >= 0, got {self.alpha}"),
-            (self.norm in NORMS, f"norm must be one of {NORMS}, got {self.norm!r}"),
+            (self.norm in ad.NORMS, f"norm must be one of {ad.NORMS}, got {self.norm!r}"),
             (self.sampling in SAMPLING_MODES,
              f"sampling must be one of {SAMPLING_MODES}, got {self.sampling!r}"),
         ]
@@ -274,7 +277,8 @@ def estimate_peak_bytes(
     for order and index build.
     """
     d, n = config.dim, num_entities
-    params = sum(rows * cols for rows, cols in _shapes(config, n, num_relations).values())
+    sizes = [r * c for r, c in _shapes(config.replace(layers=1), n, num_relations).values()]
+    params = sizes[0] + sizes[1] + config.layers * sum(sizes[2:])  # one layer's, times L
     score_rows = config.batch * (1 + config.negatives)
     words = (7 * params + (2 * config.layers + 3) * n * d + 20 * score_rows
              + 22 * CHUNK * d + 22 * num_edges)
@@ -370,9 +374,7 @@ def train(
                 moments = (run.adam_m[name], run.adam_v[name])
                 updated = adam_step(p.values, p.grad, moments, config.lr, t=run.adam_step)
                 p.grad = None  # made again by the next backward pass
-                if not np.all(np.isfinite(updated)):
-                    raise NumericError(f"non-finite update for {name} at step {run.adam_step}")
-                p.values = updated
+                p.values = ad._check_finite(updated, f"the update of {name} at step {run.adam_step}")
         return total / len(order)
 
     try:

@@ -74,10 +74,15 @@ class TestTensorBasics:
             ad.tensor(np.zeros(3))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="non-finite"):
             ad.tensor(np.array([[1.0, np.nan]]))
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="non-finite"):
             ad.tensor(np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("factor", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_factor_rejected(self, factor):
+        with pytest.raises(NumericError, match="non-finite values in scale factor"):
+            ad.scale(ad.tensor([[1.0, 2.0]]), factor)
 
     def test_float64_and_grad_allocation(self):
         t = ad.tensor(np.array([[1, 2]], dtype=np.int32), requires_grad=True)

@@ -130,6 +130,11 @@ class TestConfigValues:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lr", "gamma"])
+    def test_ints_too_large_for_a_float_refused_by_name(self, field):
+        with pytest.raises(ConfigError, match=f"{field} is too large for a float"):
+            TrainConfig(**{field: 10**400})
+
     def test_numpy_and_bool_values_round_trip(self, kinship):
         cfg = TrainConfig(dim=np.int64(8), layers=True, epochs=np.int64(1), batch=np.int32(64),
                           lr=np.float64(0.003), alpha=1, seed=np.uint8(2))
@@ -292,11 +297,12 @@ class TestCorruption:
             (lambda text: text.replace("clip=10.0\n", ""), r"missing fields: \['clip'\]"),
             (lambda text: text.replace("dim=8", "dim=eight"), r"config block:3: .*bad value"),
             (lambda text: text.replace("lr=0.003", "lr=0.0"), "lr must be finite"),
+            (lambda text: text.replace("clip=10.0", "clip=inf"), "clip must be finite"),
             (lambda text: text.replace("seed=13", "seed 13"), r"config block:11: expected key"),
             (lambda text: text + "dim=64\n", r"config block:16: config key 'dim' repeats line 3"),
         ],
         ids=["unknown-key", "missing-field", "unparseable-value", "invalid-value",
-             "no-equals", "duplicate-key"],
+             "infinite-clip", "no-equals", "duplicate-key"],
     )
     def test_bad_config_block(self, trained, edit, message):
         data = edit_config_block(to_bytes(trained), edit)
@@ -318,6 +324,23 @@ class TestCorruption:
         copy.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="not UTF-8"):
             load_checkpoint(copy)
+
+    def test_claimed_layers_refused_before_they_are_listed(self, trained):
+        # a million layers claimed by a one-layer file: refused from the file
+        # size, with less memory than loading the file as it is
+        data = to_bytes(trained)
+        claimed = edit_config_block(data, lambda text: text.replace("layers=1\n", "layers=1000000\n"))
+        tracemalloc.start()
+        try:
+            from_bytes(data)
+            normal = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(CheckpointError, match="too short for 1000000 layers"):
+                from_bytes(claimed)
+            refused = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused <= normal, (refused, normal)
 
     def test_not_a_file_payload(self):
         with pytest.raises(CheckpointError):

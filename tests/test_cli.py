@@ -4,6 +4,7 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -87,7 +88,10 @@ class TestTrainCommand:
         assert (run_dir / "train.log").is_file()
 
     def test_manifest_contents(self, run_dir, data_dir):
-        manifest = json.loads((run_dir / "manifest.json").read_text())
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        manifest = json.loads((run_dir / "manifest.json").read_text(), parse_constant=refuse)
         assert manifest["tool_version"] == __version__
         assert manifest["config"]["dim"] == 8
         assert manifest["config"]["assumption"] == "translation"
@@ -97,6 +101,7 @@ class TestTrainCommand:
             assert len(manifest["dataset"]["sha256"][name]) == 64
         assert manifest["artifacts"]["checkpoint"].endswith("model.ckpt")
         numerics = manifest["numerics"]
+        assert numerics["python"] == platform.python_version()
         assert numerics["numpy"] == np.__version__
         assert set(numerics["blas"]) == {"name", "version", "openblas configuration"}
         assert set(numerics["env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
@@ -211,6 +216,7 @@ class TestTrainCommand:
         (["--assumption", "bogus"],
          "assumption must be one of ('translation', 'rotation'), got 'bogus'"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--clip", "inf"], "clip must be finite and >= 0, got inf"),
     ])
     def test_bad_config_refused_before_writing(self, tmp_path, data_dir, capsys, flags,
                                                message):

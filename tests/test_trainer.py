@@ -101,6 +101,7 @@ class TestTrainConfig:
             {"alpha": -1.0},
             {"lr": float("inf")},
             {"seed": -1},
+            {"clip": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -621,6 +622,56 @@ def test_warm_start_from_leaves_without_gradients(small_kinship):
     assert np.isnan(caller.entity_embed.grad).all()
     fresh = ModelState.from_arrays(cfg.assumption, [a.copy() for a in before])
     assert to_bytes(train(small_kinship, cfg, init_state=fresh)) == to_bytes(ck)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_refuses_a_gradient_norm_that_is_not_finite(bad):
+    params = {name: ad.tensor(np.ones((2, 3)), requires_grad=True) for name in ("a", "b")}
+    for p in params.values():
+        p.grad = np.ones((2, 3))
+    params["b"].grad[1, 2] = bad
+    with pytest.raises(NumericError, match="gradient norm is not finite"):
+        trainer._clip_gradients(params, 10.0)
+
+
+def test_a_non_finite_update_aborts_with_the_last_good_values(monkeypatch, small_kinship):
+    # one step per epoch; the second step's first update is inf, so the run
+    # stops holding the values its first step made
+    cfg = TrainConfig(dim=8, layers=1, epochs=2, batch=len(small_kinship.train), seed=15)
+    one_step = train(small_kinship, cfg.replace(epochs=1))
+    real_adam_step = trainer.adam_step
+
+    def adam_step(param, grad, moments, lr, t=1):
+        if t == 2:
+            return np.full_like(param, np.inf)
+        return real_adam_step(param, grad, moments, lr, t)
+
+    monkeypatch.setattr(trainer, "adam_step", adam_step)
+    with pytest.raises(TrainingAborted, match="non-finite values in the update of "
+                                              "entity_embed at step 2") as info:
+        train(small_kinship, cfg)
+    ck = info.value.checkpoint
+    assert (ck.epoch, ck.adam_step) == (1, 2)
+    for name, p in one_step.state.parameters().items():
+        assert ck.state.parameters()[name].values.tobytes() == p.values.tobytes(), name
+
+
+def test_peak_estimate_scales_one_layer_without_listing_them():
+    # the estimate is affine in the layer count, and a claimed million layers
+    # is estimated, and so refused, at the cost of one
+    def estimate(layers):
+        return estimate_peak_bytes(TrainConfig(layers=layers), 104, 10, 1500)
+
+    per_layer = estimate(1) - estimate(0)
+    assert estimate(2) == estimate(0) + 2 * per_layer
+    tracemalloc.start()
+    try:
+        huge = estimate(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge == estimate(0) + 10**6 * per_layer
+    assert peak < 100_000, peak
 
 
 def test_an_abort_before_any_best_drops_the_gradients(monkeypatch, small_kinship):
